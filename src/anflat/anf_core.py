@@ -6,7 +6,6 @@ empty mask is the constant term 1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -20,7 +19,7 @@ from .errors import (
     InconsistentError,
     TooLargeError,
 )
-from .f2_linalg import AffineMap, BitVec, Flat, bit_indices
+from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_json
 
 DEFAULT_TABLE_CAP = 24
 DEFAULT_TERM_CEILING = 1 << 22
@@ -45,10 +44,6 @@ class Anf:
     @classmethod
     def zero(cls, num_vars: int) -> "Anf":
         return cls(num_vars, frozenset())
-
-    @classmethod
-    def from_masks(cls, num_vars: int, masks: Iterable[int]) -> "Anf":
-        return cls(num_vars, frozenset(masks))
 
     @classmethod
     def from_index_terms(cls, num_vars: int, index_terms: Iterable[Iterable[int]]) -> "Anf":
@@ -96,13 +91,6 @@ class Anf:
             raise IndexOutOfRangeError(f"x{i} outside [1, {self.num_vars}]")
         bit = 1 << (i - 1)
         return Anf(self.num_vars, frozenset(m for m in self.terms if not m & bit))
-
-    def variables(self) -> set[int]:
-        """1-based indices of variables that occur in some monomial."""
-        used = 0
-        for m in self.terms:
-            used |= m
-        return {j + 1 for j in bit_indices(used)}
 
     def __str__(self) -> str:
         return format_anf(self)
@@ -298,27 +286,14 @@ def evaluate_packed_columns(f: Anf, packed: np.ndarray) -> np.ndarray:
 def evaluate_on_points(f: Anf, points: np.ndarray) -> np.ndarray:
     """Evaluate f at every row of an (N, num_vars) 0/1 uint8 matrix.
 
-    When N is a positive multiple of 8 the points are bit-packed along the
-    point axis, so each monomial costs a few vector ops on N/8 bytes.
+    The points are bit-packed along the point axis (zero-padded to a
+    multiple of 8), so each monomial costs a few vector ops on N/8 bytes.
     """
     points = np.asarray(points, dtype=np.uint8)
     if points.ndim != 2 or points.shape[1] != f.num_vars:
         raise DimensionMismatchError("points matrix has wrong shape")
-    count = points.shape[0]
-    if count >= 8 and count % 8 == 0:
-        packed = np.packbits(points, axis=0)
-        return np.unpackbits(evaluate_packed_columns(f, packed))
-    acc = np.zeros(count, dtype=np.uint8)
-    for m in f.terms:
-        if m == 0:
-            acc ^= np.uint8(1)
-            continue
-        idx = bit_indices(m)
-        v = points[:, idx[0]]
-        for j in idx[1:]:
-            v = v & points[:, j]
-        acc = acc ^ v
-    return acc
+    packed = np.packbits(points, axis=0)
+    return np.unpackbits(evaluate_packed_columns(f, packed), count=points.shape[0])
 
 
 def bitvec_row(v: BitVec) -> np.ndarray:
@@ -435,14 +410,14 @@ class FunctionInput:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FunctionInput":
-        n = obj["n"]
-        if not isinstance(n, int) or n < 0:
+        n = json_field(obj, "n", int, "container")
+        if n < 0:
             raise InconsistentError("container field 'n' must be a nonnegative integer")
-        g = parse_anf(obj["anf"], n)
+        g = parse_anf(json_field(obj, "anf", str, "container"), n)
         bij = obj.get("bijection")
         bijection = None if bij is None else AffineMap.from_json_dict(bij)
         return cls(g, bijection)
 
     @classmethod
     def from_json_text(cls, text: str) -> "FunctionInput":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(load_json(text, "container"))

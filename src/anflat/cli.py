@@ -27,7 +27,7 @@ from .anf_core import (
     truth_table_to_anf,
 )
 from .errors import AnflatError, InconsistentError, VerificationError
-from .f2_linalg import Flat
+from .f2_linalg import Flat, load_json
 from .restriction import exhaustive_hitting_set, occurrence_counts
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput
 def _load_flat(path: str) -> Flat:
     text = _read_input(path)
     if text.lstrip().startswith("{"):
-        return Flat.from_json_dict(json.loads(text))
+        return Flat.from_json_dict(load_json(text, "flat"))
     return Flat.from_text(text)
 
 
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="hitting-set size budget")
     p.add_argument("--node-limit", type=int, default=1_000_000)
     p.add_argument("--cap", type=int, default=None, help="override the size cap")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (runs are serial today)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

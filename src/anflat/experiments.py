@@ -97,8 +97,6 @@ class ExperimentConfig:
     restrictions_per_trial: int = 50
     family: str = "rand3-sparse"
     inclusion_scale: Optional[float] = None
-    flat_dim_constant: float = FLAT_DIMENSION_CONSTANT
-    restriction_dim_constant: float = RESTRICTION_DIMENSION_CONSTANT
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -120,10 +118,10 @@ class ExperimentConfig:
             # 0-restriction variant uses 1/n^(3-s)
             self.inclusion_scale = 1.0 if self.kind == KIND_RESTRICTIONS else 0.5
         if self.kind == KIND_FLATS and self.k is None:
-            self.k = round(self.flat_dim_constant * self.n ** (2.0 - self.s / 2.0))
+            self.k = round(FLAT_DIMENSION_CONSTANT * self.n ** (2.0 - self.s / 2.0))
         if self.kind == KIND_RESTRICTIONS and self.k is None:
             self.k = round(
-                self.restriction_dim_constant
+                RESTRICTION_DIMENSION_CONSTANT
                 * math.sqrt(math.log(self.n))
                 * self.n ** ((3.0 - self.s) / 2.0)
             )

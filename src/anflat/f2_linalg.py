@@ -10,6 +10,7 @@ function, so everything here is safe to share across threads.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +33,29 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def load_json(text: str, what: str):
+    """Decoded JSON text; InconsistentError instead of a decode error."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InconsistentError(f"{what} is not valid JSON: {exc}") from None
+
+
+_JSON_TYPE = {int: "integer", str: "string", list: "array"}
+
+
+def json_field(obj, key: str, kind: type, what: str):
+    """obj[key] from a decoded JSON object; InconsistentError if absent or mistyped."""
+    if not isinstance(obj, dict):
+        raise InconsistentError(f"{what} must be a JSON object")
+    if key not in obj:
+        raise InconsistentError(f"{what} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InconsistentError(f"{what} field {key!r} must be a JSON {_JSON_TYPE[kind]}")
+    return value
+
+
 @dataclass(frozen=True)
 class BitVec:
     """A vector in F2^length packed into one int."""
@@ -49,6 +73,8 @@ class BitVec:
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
+        if not isinstance(text, str):
+            raise InconsistentError(f"vector must be a string of '0'/'1' characters: {text!r}")
         text = text.strip()
         if any(c not in "01" for c in text):
             raise InconsistentError(f"vector text must be '0'/'1' characters: {text!r}")
@@ -63,9 +89,6 @@ class BitVec:
 
     def bit(self, j: int) -> int:
         return (self.bits >> j) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
@@ -116,17 +139,8 @@ class BitMatrix:
     def to_strings(self) -> list[str]:
         return [BitVec(self.cols, r).to_string() for r in self.row_bits]
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.row_bits[i])
-
-    def column_bits(self, j: int) -> int:
-        acc = 0
-        for i, r in enumerate(self.row_bits):
-            acc |= ((r >> j) & 1) << i
-        return acc
 
     def mul_vec(self, v: BitVec) -> BitVec:
         if v.length != self.cols:
@@ -146,14 +160,6 @@ class BitMatrix:
                 acc ^= other.row_bits[j]
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(self.column_bits(j) for j in range(self.cols)))
-
-    def drop_column(self, j: int) -> "BitMatrix":
-        low = (1 << j) - 1
-        new_rows = tuple((r & low) | ((r >> (j + 1)) << j) for r in self.row_bits)
-        return BitMatrix(self.rows, self.cols - 1, new_rows)
 
 
 def _rref(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
@@ -196,44 +202,6 @@ def invert(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(r >> n for r in reduced))
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVec]:
-    """Independent vectors spanning the nullspace; count = cols - rank."""
-    reduced, pivots = _rref(list(m.row_bits), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for r, pc in enumerate(pivots):
-            if (reduced[r] >> free) & 1:
-                bits |= 1 << pc
-        basis.append(BitVec(m.cols, bits))
-    return basis
-
-
-def solve_affine(m: BitMatrix, rhs: BitVec) -> tuple[BitVec, list[BitVec]]:
-    """Solution set of m x = rhs as (particular solution, kernel basis).
-
-    Raises InconsistentError when no solution exists.
-    """
-    if rhs.length != m.rows:
-        raise DimensionMismatchError("right-hand side has wrong length")
-    n = m.cols
-    work = [m.row_bits[i] | (((rhs.bits >> i) & 1) << n) for i in range(m.rows)]
-    reduced, pivots = _rref(work, n)
-    for r in range(len(pivots), m.rows):
-        if reduced[r] >> n:
-            raise InconsistentError("system has no solution")
-    bits = 0
-    for r, pc in enumerate(pivots):
-        if reduced[r] >> n:
-            bits |= 1 << pc
-    x0 = BitVec(n, bits)
-    kern = kernel_basis(m)
-    return x0, kern
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """An invertible affine bijection x -> matrix*x + offset on F2^n.
@@ -257,6 +225,11 @@ class AffineMap:
     def dimension(self) -> int:
         return self.matrix.rows
 
+    @property
+    def inverse_matrix(self) -> BitMatrix:
+        """The cached M^-1; reading it costs nothing."""
+        return self._inv_matrix
+
     def apply(self, x: BitVec) -> BitVec:
         return self.matrix.mul_vec(x) ^ self.offset
 
@@ -269,27 +242,13 @@ class AffineMap:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AffineMap":
-        return cls(BitMatrix.from_strings(obj["matrix"]), BitVec.from_string(obj["offset"]))
+        matrix = json_field(obj, "matrix", list, "bijection")
+        offset = json_field(obj, "offset", str, "bijection")
+        return cls(BitMatrix.from_strings(matrix), BitVec.from_string(offset))
 
 
 def identity_map(n: int) -> AffineMap:
     return AffineMap(BitMatrix.identity(n), BitVec(n))
-
-
-def apply_affine(a: AffineMap, x: BitVec) -> BitVec:
-    if x.length != a.dimension:
-        raise DimensionMismatchError("point length does not match map dimension")
-    return a.apply(x)
-
-
-def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """The map x -> outer(inner(x))."""
-    if outer.dimension != inner.dimension:
-        raise DimensionMismatchError("composed maps must share a dimension")
-    return AffineMap(
-        outer.matrix.matmul(inner.matrix),
-        outer.matrix.mul_vec(inner.offset) ^ outer.offset,
-    )
 
 
 @dataclass(frozen=True)
@@ -360,8 +319,8 @@ class Flat:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Flat":
-        offset = BitVec.from_string(obj["offset"])
-        basis = tuple(BitVec.from_string(s) for s in obj["basis"])
+        offset = BitVec.from_string(json_field(obj, "offset", str, "flat"))
+        basis = tuple(BitVec.from_string(s) for s in json_field(obj, "basis", list, "flat"))
         return cls(offset.length, offset, basis)
 
 

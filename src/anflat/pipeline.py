@@ -1,17 +1,18 @@
 """End-to-end constant-flat search plus exhaustive small-n oracles.
 
 The pipeline runs the greedy 0-restriction until no term of degree >= 3
-remains, decomposes the quadratic (here: identically structured, possibly
-zero) residual into its canonical form, fixes one coordinate per product
-pair, and composes everything into a single affine embedding whose image
-is the flat. Flats are mapped between coordinate systems instead of
-composing polynomials symbolically, which avoids term blowup.
+remains, decomposes the quadratic (possibly zero) residual on the alive
+variables into its canonical form, and fixes one coordinate per product
+pair. The resulting flat is built on the alive variables and scattered
+back to all n, with every restricted variable held at 0. Flats are mapped
+between coordinate systems instead of composing polynomials symbolically,
+which avoids term blowup.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,74 +29,17 @@ from .anf_core import (
 from .errors import (
     DimensionMismatchError,
     InconsistentError,
-    IndexOutOfRangeError,
     TooLargeError,
     VerificationError,
 )
-from .f2_linalg import BitMatrix, BitVec, Flat, rank
-from .quadratic import DicksonForm, dickson_decompose
+from .f2_linalg import BitVec, Flat, bit_indices
+from .quadratic import DicksonForm, dickson_decompose, flat_from_dickson
 from .restriction import RestrictionTrace, UntilNoCrucial, greedy_restrict
 
 DEFAULT_SAMPLE_CAP = 1 << 20
 DEFAULT_VERIFY_SEED = 271828
 DEFAULT_NORMALITY_CAP = 8
 DEFAULT_THICKNESS_CAP = 4
-
-
-@dataclass(frozen=True)
-class AffineEmbedding:
-    """An injective affine map F2^m -> F2^n: z -> matrix*z + offset."""
-
-    matrix: BitMatrix  # n x m, full column rank
-    offset: BitVec  # length n
-
-    def __post_init__(self):
-        if self.offset.length != self.matrix.rows:
-            raise DimensionMismatchError("embedding offset has wrong length")
-        if rank(self.matrix) != self.matrix.cols:
-            raise InconsistentError("embedding matrix must have full column rank")
-
-    @property
-    def domain_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.rows
-
-    def apply(self, z: BitVec) -> BitVec:
-        return self.matrix.mul_vec(z) ^ self.offset
-
-
-def identity_embedding(n: int) -> AffineEmbedding:
-    return AffineEmbedding(BitMatrix.identity(n), BitVec(n))
-
-
-def embed_zero_restriction(e: AffineEmbedding, dead_var: int) -> AffineEmbedding:
-    """Force domain coordinate dead_var (1-based) to 0 before applying e."""
-    if not 1 <= dead_var <= e.domain_dim:
-        raise IndexOutOfRangeError(f"coordinate {dead_var} outside [1, {e.domain_dim}]")
-    return AffineEmbedding(e.matrix.drop_column(dead_var - 1), e.offset)
-
-
-def flat_of_embedding(e: AffineEmbedding, fixed: Mapping[int, int]) -> Flat:
-    """Image of {z : z_i = fixed[i]} under e, as offset plus basis."""
-    for i, v in fixed.items():
-        if not 1 <= i <= e.domain_dim:
-            raise InconsistentError(f"fixed coordinate {i} outside [1, {e.domain_dim}]")
-        if v not in (0, 1):
-            raise InconsistentError("fixed values must be bits")
-    offset = e.offset
-    for i, v in fixed.items():
-        if v:
-            col = BitVec(e.codomain_dim, e.matrix.column_bits(i - 1))
-            offset = offset ^ col
-    basis = tuple(
-        BitVec(e.codomain_dim, e.matrix.column_bits(j))
-        for j in range(e.domain_dim)
-        if (j + 1) not in fixed
-    )
-    return Flat(e.codomain_dim, offset, basis)
 
 
 VERDICT_CONSTANT = "constant"
@@ -255,39 +199,28 @@ def find_constant_flat(
 ) -> FlatReport:
     """Find and verify a flat on which the represented function f is constant.
 
-    Greedy 0-restrictions remove every term of degree >= 3 from g, the
-    residual decomposes into its quadratic canonical form, and the pair
-    coordinates are fixed to 0. The zero-fixings and the coordinate change
-    combine into one affine embedding; its image is the flat, mapped
-    through the bijection when one is present so the report concerns f.
+    Greedy 0-restrictions remove every term of degree >= 3 from g. The
+    residual, rewritten on the alive variables, decomposes into its
+    quadratic canonical form, whose flat (one coordinate fixed per pair)
+    is built by flat_from_dickson. Alive coordinate j is scattered to
+    x_{alive[j]}, so the restricted variables stay 0, and the result is
+    mapped through the bijection when one is present so the report
+    concerns f.
     """
     g = func.g
     n = g.num_vars
     state = greedy_restrict(g, UntilNoCrucial())
+    alive = sorted(state.alive)
+    form = dickson_decompose(reindex(state.current, alive))
+    flat_alive, constant = flat_from_dickson(form)
 
-    embedding = identity_embedding(n)
-    alive = list(range(1, n + 1))
-    for step in state.trace.steps:
-        position = alive.index(step.var) + 1
-        embedding = embed_zero_restriction(embedding, position)
-        alive.remove(step.var)
+    def scatter(v: BitVec) -> BitVec:
+        bits = 0
+        for j in bit_indices(v.bits):
+            bits |= 1 << (alive[j] - 1)
+        return BitVec(n, bits)
 
-    residual = reindex(state.current, alive)
-    form = dickson_decompose(residual)
-
-    # switch the embedding domain to the canonical y-coordinates:
-    # z = M^-1 y + M^-1 b, so columns compose with the inverse change of variables
-    inverse_map = form.map.inverse()
-    y_matrix = embedding.matrix.matmul(inverse_map.matrix)
-    y_offset = embedding.apply(inverse_map.offset)
-    y_embedding = AffineEmbedding(y_matrix, y_offset)
-
-    fixed = {i + 1: 0 for i in range(0, form.t, 2)}
-    if form.form_type == "II":
-        fixed[form.t + 1] = 0
-    flat_g = flat_of_embedding(y_embedding, fixed)
-    constant = form.c if form.form_type == "I" else 0
-
+    flat_g = Flat(n, scatter(flat_alive.offset), tuple(scatter(b) for b in flat_alive.basis))
     flat = flat_g if func.bijection is None else flat_g.map_through(func.bijection)
 
     verdict = verify_flat(func, flat, constant, sample_cap=sample_cap, seed=verify_seed)

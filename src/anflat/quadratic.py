@@ -39,7 +39,6 @@ from .f2_linalg import (
     bit_indices,
     invert,
     parity,
-    solve_affine,
 )
 
 
@@ -201,24 +200,21 @@ def flat_from_dickson(d: DicksonForm) -> tuple[Flat, int]:
     """A flat of dimension >= floor(n/2) on which the decomposed f is constant.
 
     In y-coordinates fix y1 = y3 = ... = y_{t-1} = 0, plus y_{t+1} = 0 for
-    type II; pulled back through the change of variables this is the
-    solution set of a small linear system.
+    type II. Since x = A^-1 y + A^-1 b, the flat is the offset A^-1 b plus
+    column j of A^-1 for every free y_j, in ascending j.
     """
     n = d.num_vars
-    fixed = list(range(0, d.t, 2))
+    fixed = set(range(0, d.t, 2))
     if d.form_type == "II":
-        fixed.append(d.t)
+        fixed.add(d.t)
+    inv = d.map.inverse_matrix
+    columns = [0] * n
+    for i, row in enumerate(inv.row_bits):
+        for j in bit_indices(row):
+            columns[j] |= 1 << i
+    basis = tuple(BitVec(n, columns[j]) for j in range(n) if j not in fixed)
     constant = d.c if d.form_type == "I" else 0
-    if not fixed:
-        basis = tuple(BitVec(n, 1 << i) for i in range(n))
-        return Flat(n, BitVec(n), basis), constant
-    rows = [d.map.matrix.row_bits[i] for i in fixed]
-    rhs_bits = 0
-    for pos, i in enumerate(fixed):
-        rhs_bits |= d.map.offset.bit(i) << pos
-    system = BitMatrix(len(fixed), n, tuple(rows))
-    x0, kern = solve_affine(system, BitVec(len(fixed), rhs_bits))
-    return Flat(n, x0, tuple(kern)), constant
+    return Flat(n, inv.mul_vec(d.map.offset), basis), constant
 
 
 def quadratic_flat(f: Anf) -> tuple[Flat, int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .anf_core import Anf
-from .errors import NoCrucialTermsError, TooLargeError
+from .errors import NoCrucialTermsError, TooLargeError, VerificationError
 from .f2_linalg import bit_indices
 
 DEFAULT_NODE_LIMIT = 1_000_000
@@ -161,8 +161,8 @@ def greedy_step(state: RestrictionState) -> RestrictionState:
         raise NoCrucialTermsError("no crucial terms remain")
     v, occ = state._pick_variable()
     n_alive = len(state._alive)
-    # pigeonhole floor for the greedy choice; failure would be a bug
-    assert occ >= -(-3 * m // n_alive)
+    if occ < -(-3 * m // n_alive):
+        raise VerificationError(f"greedy pick x{v} occurs {occ} times, below the pigeonhole floor")
     state.trace.steps.append(RestrictionStep(var=v, crucial_before=m, occ=occ))
     state.kill_variable(v)
     return state

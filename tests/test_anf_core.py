@@ -186,7 +186,7 @@ def test_evaluate_on_points_matches_scalar(rng):
         for row, value in zip(points, fast):
             bits = sum(int(b) << j for j, b in enumerate(row))
             assert slow_evaluate(f, bits) == int(value)
-        odd = points[:5]  # exercises the unpacked path
+        odd = points[:5]  # zero-padded up to one packed byte
         assert list(evaluate_on_points(f, odd)) == list(fast[:5])
 
 

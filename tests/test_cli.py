@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import anflat
 from anflat.cli import main
 from conftest import load_schema
 
 PROP6_TEXT = "x1*x2*x3 + x1*x4*x5 + x2*x4*x6 + x3*x5*x6"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -326,3 +332,55 @@ def test_internal_verification_failure_exit_3(capsys, monkeypatch, prop6_file):
     code, _, err = run_cli(capsys, "find-flat", prop6_file)
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        ("base_cubic.anf", []),
+        ("bijection_container.json", []),
+        ("wide_type2.anf", ["--n", "9"]),  # support x1..x6, type-II residual
+    ],
+)
+def test_find_flat_golden_stdout(capsys, name, extra):
+    code, out, _ = run_cli(capsys, "find-flat", str(DATA / name), *extra, "--json")
+    assert code == 0
+    golden = DATA / "golden" / (name.rsplit(".", 1)[0] + ".find-flat.json")
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        pytest.param("container", "{bad", id="not-json"),
+        pytest.param("container", '{"n": ' + "[" * 100_000, id="nested-too-deep"),
+        pytest.param("container", '{"n": 3}', id="no-anf"),
+        pytest.param("container", '{"n": 2, "anf": 5}', id="anf-not-string"),
+        pytest.param(
+            "container",
+            '{"n": 2, "anf": "x1", "bijection": {"matrix": ["10", "01"]}}',
+            id="bijection-no-offset",
+        ),
+        pytest.param("flat", '{"offset": "00"}', id="flat-no-basis"),
+    ],
+)
+def test_malformed_json_exit_2_without_traceback(tmp_path, kind, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if kind == "container":
+        argv = ["find-flat", str(bad)]
+    else:
+        func = tmp_path / "f.anf"
+        func.write_text("x1*x2\n")
+        argv = ["verify-flat", str(func), "--flat", str(bad)]
+    src = Path(anflat.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "anflat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -9,21 +9,17 @@ from anflat.anf_core import (
     compose_affine,
     parse_anf,
 )
-from anflat.errors import InconsistentError, IndexOutOfRangeError, TooLargeError
-from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map
+from anflat.errors import TooLargeError
+from anflat.f2_linalg import BitVec, Flat, random_affine_map
 from anflat.generators import prop6_base, random_degree3_half
 from anflat.pipeline import (
     VERDICT_CONSTANT,
     VERDICT_NOT_CONSTANT,
     VERDICT_SAMPLED_OK,
-    AffineEmbedding,
     brute_force_normality,
     brute_force_thickness,
-    embed_zero_restriction,
     find_constant_flat,
-    flat_of_embedding,
     guaranteed_dimension,
-    identity_embedding,
     verify_flat,
 )
 from conftest import random_anf, random_quadratic
@@ -55,45 +51,6 @@ def oracle_normality(f: Anf) -> int:
     return best
 
 
-def test_embedding_examples():
-    e = identity_embedding(3)
-    e2 = embed_zero_restriction(e, 2)
-    assert e2.domain_dim == 2
-    assert e2.apply(BitVec(2, 0b11)).to_string() == "101"
-    # killing everything leaves the constant-point embedding
-    e0 = embed_zero_restriction(embed_zero_restriction(e2, 2), 1)
-    assert e0.domain_dim == 0
-    assert e0.apply(BitVec(0, 0)).to_string() == "000"
-    with pytest.raises(IndexOutOfRangeError):
-        embed_zero_restriction(e, 4)
-
-
-def test_embedding_kill_order_commutes():
-    e = identity_embedding(4)
-    # kill domain coords 3 then 1 versus 1 then (what was 3, now 2)
-    a = embed_zero_restriction(embed_zero_restriction(e, 3), 1)
-    b = embed_zero_restriction(embed_zero_restriction(e, 1), 2)
-    assert a == b
-
-
-def test_embedding_rejects_rank_deficiency():
-    with pytest.raises(InconsistentError):
-        AffineEmbedding(BitMatrix.from_strings(["10", "10", "00"]), BitVec(3))
-
-
-def test_flat_of_embedding():
-    e = identity_embedding(2)
-    flat = flat_of_embedding(e, {1: 0})
-    assert flat.offset.to_string() == "00"
-    assert [b.to_string() for b in flat.basis] == ["01"]
-    full = flat_of_embedding(e, {})
-    assert full.dimension == 2
-    point = flat_of_embedding(e, {1: 1, 2: 0})
-    assert point.dimension == 0 and point.offset.to_string() == "10"
-    with pytest.raises(InconsistentError):
-        flat_of_embedding(e, {3: 0})
-
-
 def test_find_constant_flat_base_cubic():
     report = find_constant_flat(FunctionInput(prop6_base()))
     assert report.flat.dimension == 4
@@ -113,29 +70,15 @@ def test_find_constant_flat_simple_cases():
 
 
 def test_stagewise_embedding_invariant(rng):
-    """At every greedy stage, the mapped point evaluates like the restricted g."""
-    from anflat.anf_core import reindex
-    from anflat.restriction import RestrictionState, greedy_step
-
-    for _ in range(10):
+    """Every point of the reported flat has x_v = 0 for every traced v."""
+    for _ in range(30):
         n = int(rng.integers(4, 11))
         f = random_anf(n, rng, term_rate=0.2)
-        state = RestrictionState(f)
-        embedding = identity_embedding(n)
-        alive = list(range(1, n + 1))
-        while True:
-            current = reindex(state.current, alive)
-            m = embedding.domain_dim
-            assert m == len(alive)
-            for z_bits in range(1 << m):  # domains here are at most 2^10 points
-                z = BitVec(m, z_bits)
-                assert current.evaluate(z) == f.evaluate(embedding.apply(z))
-            if state.crucial_count == 0:
-                break
-            greedy_step(state)
-            killed = state.trace.steps[-1].var
-            embedding = embed_zero_restriction(embedding, alive.index(killed) + 1)
-            alive.remove(killed)
+        report = find_constant_flat(FunctionInput(f))
+        traced = report.trace.variables()
+        for p in report.flat.points():
+            assert [p.bit(v - 1) for v in traced] == [0] * len(traced)
+            assert f.evaluate(p) == report.constant
 
 
 def test_find_constant_flat_dimension_accounting(rng):

@@ -2,7 +2,7 @@ import pytest
 
 from anflat.anf_core import Anf, compose_affine, parse_anf
 from anflat.errors import DegreeTooHighError, InconsistentError
-from anflat.f2_linalg import identity_map, rank, random_affine_map
+from anflat.f2_linalg import BitVec, identity_map, rank, random_affine_map
 from anflat.quadratic import (
     DicksonForm,
     canonical_anf,
@@ -123,12 +123,19 @@ def test_quadratic_flat_dimension_and_constancy(rng):
             assert f.evaluate(p) == c
 
 
-def test_flat_from_dickson_matches_quadratic_flat(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
+def test_flat_from_dickson_matches_brute_force(rng):
+    """The flat is exactly {x : (Ax + b)_i = 0 for every fixed i}."""
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
         f = random_quadratic(n, rng)
         d = dickson_decompose(f)
+        fixed = list(range(0, d.t, 2)) + ([d.t] if d.form_type == "II" else [])
+        expected = set()
+        for x in range(1 << n):
+            y = d.map.apply(BitVec(n, x))
+            if all(y.bit(i) == 0 for i in fixed):
+                expected.add(x)
         flat, c = flat_from_dickson(d)
-        flat2, c2 = quadratic_flat(f)
-        assert c == c2
-        assert {p.bits for p in flat.points()} == {p.bits for p in flat2.points()}
+        assert flat.dimension == n - len(fixed)
+        assert {p.bits for p in flat.points()} == expected
+        assert {f.evaluate(BitVec(n, x)) for x in expected} == {c}

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from anflat.anf_core import Anf, parse_anf
-from anflat.errors import NoCrucialTermsError, TooLargeError
+from anflat.errors import NoCrucialTermsError, TooLargeError, VerificationError
 from anflat.generators import complete_degree3, prop6_base, prop6_family, random_degree3_half
 from anflat.restriction import (
     RestrictionState,
@@ -22,7 +22,10 @@ def brute_force_min_hitting_set(f: Anf) -> int:
     crucial = [m for m in f.terms if m.bit_count() >= 3]
     if not crucial:
         return 0
-    variables = sorted(f.variables())
+    used = 0
+    for m in f.terms:
+        used |= m
+    variables = [j + 1 for j in range(f.num_vars) if used >> j & 1]
     for size in range(len(variables) + 1):
         for subset in combinations(variables, size):
             mask = 0
@@ -55,6 +58,15 @@ def test_greedy_step_trace_on_base_cubic():
 def test_greedy_step_requires_crucial_terms():
     with pytest.raises(NoCrucialTermsError):
         greedy_step(RestrictionState(parse_anf("x1*x2", 2)))
+
+
+def test_greedy_step_pigeonhole_check_raises(monkeypatch):
+    # prop6 has 4 crucial terms on 6 variables, so the floor is 2
+    monkeypatch.setattr(RestrictionState, "_pick_variable", lambda self: (1, 1))
+    state = RestrictionState(prop6_base())
+    with pytest.raises(VerificationError, match="pigeonhole"):
+        greedy_step(state)
+    assert len(state.trace) == 0
 
 
 def test_greedy_restrict_base_cubic():
