@@ -7,7 +7,7 @@ empty mask is the constant term 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -296,19 +296,23 @@ def evaluate_on_points(f: Anf, points: np.ndarray) -> np.ndarray:
     return np.unpackbits(evaluate_packed_columns(f, packed), count=points.shape[0])
 
 
-def bitvec_row(v: BitVec) -> np.ndarray:
-    """BitVec as a (length,) uint8 coordinate row."""
-    return np.array([(v.bits >> j) & 1 for j in range(v.length)], dtype=np.uint8)
+def bitvec_rows(vectors: Sequence[BitVec], length: int) -> np.ndarray:
+    """Vectors of the given length as a (len(vectors), length) uint8 coordinate matrix."""
+    nbytes = (length + 7) // 8
+    raw = b"".join(v.bits.to_bytes(nbytes, "little") for v in vectors)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(vectors), nbytes)
+    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
 
 def flat_points_matrix(flat: Flat) -> np.ndarray:
     """All 2^k flat points as a (2^k, n) matrix; row i is flat.point_at(i)."""
     k = flat.dimension
+    rows = bitvec_rows([flat.offset, *flat.basis], flat.ambient)
     out = np.empty((1 << k, flat.ambient), dtype=np.uint8)
-    out[0] = bitvec_row(flat.offset)
+    out[0] = rows[0]
     size = 1
-    for b in flat.basis:
-        out[size : 2 * size] = out[:size] ^ bitvec_row(b)
+    for row in rows[1:]:
+        out[size : 2 * size] = out[:size] ^ row
         size *= 2
     return out
 

@@ -35,6 +35,14 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_NEGATIVE = 4
 
+SAMPLES_HELP = (
+    "cap on the points the verification evaluates: a flat with at most this "
+    "many points is checked at all of them; a larger one exactly on the "
+    "Hamming ball of radius deg g (low-degree check) if the ball fits the "
+    "cap, else on this many seeded random points (sampled check) "
+    "(default: %(default)s)"
+)
+
 
 def _seed_arg(text: str) -> int:
     return int(text, 0)  # accepts decimal and 0x-prefixed hex
@@ -163,8 +171,10 @@ def cmd_verify_flat(args) -> int:
         print(f"verdict: {verdict.kind}")
         if verdict.value is not None:
             print(f"value: {verdict.value}")
-        if verdict.samples is not None:
+        if verdict.seed is not None:
             print(f"samples: {verdict.samples} (seed {verdict.seed})")
+        elif verdict.samples is not None:
+            print(f"points: {verdict.samples}")
         if verdict.witness:
             for w in verdict.witness:
                 print(f"witness: {w.to_string()}")
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-flat", help="find a verified flat on which f is constant")
     _add_function_input_args(p)
     p.add_argument("--epsilon", type=float, default=None, help="exponent for the dimension floor")
-    p.add_argument("--samples", type=int, default=pipeline.DEFAULT_SAMPLE_CAP)
+    p.add_argument("--samples", type=int, default=pipeline.DEFAULT_SAMPLE_CAP, help=SAMPLES_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_find_flat)
 
@@ -336,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_input_args(p)
     p.add_argument("--flat", required=True, help="flat file (text or JSON)")
     p.add_argument("--constant", type=int, choices=[0, 1], default=None)
-    p.add_argument("--samples", type=int, default=pipeline.DEFAULT_SAMPLE_CAP)
+    p.add_argument("--samples", type=int, default=pipeline.DEFAULT_SAMPLE_CAP, help=SAMPLES_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_flat)
 

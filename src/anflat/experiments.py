@@ -23,7 +23,7 @@ import numpy as np
 
 from .anf_core import evaluate_on_points, flat_points_matrix
 from .errors import InconsistentError, TooLargeError
-from .f2_linalg import BitVec, Flat, random_bits
+from .f2_linalg import BitVec, Flat, insert_independent, random_bits
 from .generators import sample_degree3_with_rng
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -67,18 +67,11 @@ def random_flat(n: int, k: int, rng: np.random.Generator) -> Flat:
     if not 0 <= k <= n:
         raise InconsistentError(f"dimension {k} outside [0, {n}]")
     basis: list[int] = []
-    pivots: dict[int, int] = {}
+    reduced: dict[int, int] = {}
     while len(basis) < k:
         v = random_bits(n, rng)
-        reduced = v
-        while reduced:
-            top = reduced.bit_length() - 1
-            if top in pivots:
-                reduced ^= pivots[top]
-            else:
-                pivots[top] = reduced
-                basis.append(v)
-                break
+        if insert_independent(reduced, v):
+            basis.append(v)
     offset = random_bits(n, rng)
     return Flat(n, BitVec(n, offset), tuple(BitVec(n, b) for b in basis))
 

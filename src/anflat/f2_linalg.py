@@ -85,7 +85,9 @@ class BitVec:
         return cls(len(text), bits)
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
+        if self.length == 0:
+            return ""
+        return format(self.bits, f"0{self.length}b")[::-1]
 
     def bit(self, j: int) -> int:
         return (self.bits >> j) & 1
@@ -185,6 +187,22 @@ def _rref(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
+def insert_independent(reduced: dict[int, int], v: int) -> bool:
+    """XOR-basis insertion: whether v is independent of the vectors in reduced.
+
+    reduced maps the top bit of each kept vector, already reduced by the
+    earlier ones, to that vector. v is reduced by them and, if something
+    remains, kept under its top bit.
+    """
+    while v:
+        top = v.bit_length() - 1
+        if top not in reduced:
+            reduced[top] = v
+            return True
+        v ^= reduced[top]
+    return False
+
+
 def rank(m: BitMatrix) -> int:
     _, pivots = _rref(list(m.row_bits), m.cols)
     return len(pivots)
@@ -234,8 +252,13 @@ class AffineMap:
         return self.matrix.mul_vec(x) ^ self.offset
 
     def inverse(self) -> "AffineMap":
-        # y = Mx + b  <=>  x = M^-1 y + M^-1 b
-        return AffineMap(self._inv_matrix, self._inv_matrix.mul_vec(self.offset))
+        # y = Mx + b  <=>  x = M^-1 y + M^-1 b. Both matrices are known and M
+        # inverts M^-1, so the inverse map skips __post_init__'s elimination.
+        inv = object.__new__(AffineMap)
+        object.__setattr__(inv, "matrix", self._inv_matrix)
+        object.__setattr__(inv, "offset", self._inv_matrix.mul_vec(self.offset))
+        object.__setattr__(inv, "_inv_matrix", self.matrix)
+        return inv
 
     def to_json_dict(self) -> dict:
         return {"matrix": self.matrix.to_strings(), "offset": self.offset.to_string()}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -20,10 +21,8 @@ from .anf_core import (
     Anf,
     FunctionInput,
     anf_to_truth_table,
-    bitvec_row,
-    evaluate_on_points,
+    bitvec_rows,
     evaluate_packed_columns,
-    flat_points_matrix,
     reindex,
 )
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     TooLargeError,
     VerificationError,
 )
-from .f2_linalg import BitVec, Flat, bit_indices
+from .f2_linalg import BitVec, Flat, bit_indices, insert_independent
 from .quadratic import DicksonForm, dickson_decompose, flat_from_dickson
 from .restriction import RestrictionTrace, UntilNoCrucial, greedy_restrict
 
@@ -43,13 +42,18 @@ DEFAULT_THICKNESS_CAP = 4
 
 
 VERDICT_CONSTANT = "constant"
+VERDICT_CONSTANT_LOW_DEGREE = "constant_low_degree"
 VERDICT_NOT_CONSTANT = "not_constant"
 VERDICT_SAMPLED_OK = "sampled_ok"
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of checking a flat: exhaustive constancy, a witness, or sampled."""
+    """Outcome of checking a flat: exact constancy, a witness, or sampled.
+
+    samples is the number of points the low-degree or the sampled check
+    evaluated; seed is set by the sampled check only.
+    """
 
     kind: str
     value: Optional[int] = None
@@ -61,10 +65,11 @@ class Verdict:
         out: dict = {"verdict": self.kind, "value": self.value}
         if self.witness is not None:
             out["witness"] = [w.to_string() for w in self.witness]
-        if self.samples is not None:
-            out["samples"] = self.samples
         if self.seed is not None:
+            out["samples"] = self.samples
             out["seed"] = self.seed
+        elif self.samples is not None:
+            out["points"] = self.samples
         return out
 
 
@@ -73,6 +78,92 @@ def _g_side_flat(func: FunctionInput, flat: Flat) -> Flat:
     if func.bijection is None:
         return flat
     return flat.map_through(func.bijection.inverse())
+
+
+# bit j of t for the points t = 0..7 of one packed byte, point 0 in the top bit
+_COUNTING_LOW_BYTES = (0x55, 0x33, 0x0F)
+
+
+def _counting_columns(k: int) -> np.ndarray:
+    """Packed flat coordinates of all 2^k combinations; point i is combination i."""
+    nbytes = max(1, (1 << k) >> 3)
+    byte = np.arange(nbytes)
+    zcols = np.empty((nbytes, k), dtype=np.uint8)
+    for j in range(k):
+        zcols[:, j] = _COUNTING_LOW_BYTES[j] if j < 3 else ((byte >> (j - 3)) & 1) * 0xFF
+    return zcols
+
+
+def _ball_columns(r: int, d: int) -> np.ndarray:
+    """Packed coordinates of the Hamming ball of radius d in F2^r.
+
+    Points go by weight, then in itertools.combinations order, so point 0
+    is the zero combination.
+    """
+    total = sum(math.comb(r, w) for w in range(d + 1))
+    zcols = np.zeros(((total + 7) // 8, r), dtype=np.uint8)
+    start = 1
+    for w in range(1, d + 1):
+        size = math.comb(r, w)
+        coords = np.fromiter(
+            chain.from_iterable(combinations(range(r), w)), dtype=np.intp, count=size * w
+        )
+        points = np.repeat(np.arange(start, start + size), w)
+        masks = (0x80 >> (points & 7)).astype(np.uint8)
+        np.bitwise_or.at(zcols, (points >> 3, coords), masks)
+        start += size
+    return zcols
+
+
+@dataclass(frozen=True, eq=False)
+class _SupportView:
+    """A flat for f seen on the support S of g (the union of its monomials).
+
+    g depends only on y|_S, so f at flat.point_at(i) is h at offset plus
+    rows[j] for every bit j of i (mod 2), where h is g rewritten on S and
+    offset and rows are the g-side offset and basis projected onto S.
+    """
+
+    flat: Flat
+    h: Anf
+    offset: np.ndarray
+    rows: np.ndarray
+
+    def values(self, indices, zcols: np.ndarray, count: int) -> np.ndarray:
+        """f at the first count points packed in zcols, whose column j is basis[indices[j]].
+
+        The points are bit-packed along axis 0, so the 0/1 combination
+        matrix times the projected basis is one XOR of packed columns per
+        basis vector.
+        """
+        cols = np.zeros((zcols.shape[0], self.h.num_vars), dtype=np.uint8)
+        for j, i in enumerate(indices):
+            cols[:, np.flatnonzero(self.rows[i])] ^= zcols[:, j : j + 1]
+        cols[:, np.flatnonzero(self.offset)] ^= np.uint8(0xFF)
+        return np.unpackbits(evaluate_packed_columns(self.h, cols), count=count)
+
+    def point(self, indices, zcols: np.ndarray, point: int) -> BitVec:
+        """The f-side flat point packed at position point of zcols."""
+        coords = np.flatnonzero((zcols[point >> 3] >> (7 - (point & 7))) & 1)
+        return self.flat.point_at(sum(1 << indices[j] for j in coords))
+
+
+def _check_constant(
+    view: _SupportView,
+    indices,
+    zcols: np.ndarray,
+    count: int,
+    kind: str,
+    samples: Optional[int] = None,
+) -> Verdict:
+    """Constant if every evaluated point agrees with point 0, else a witness pair."""
+    values = view.values(indices, zcols, count)
+    first = int(values[0])
+    diff = np.flatnonzero(values != first)
+    if diff.size == 0:
+        return Verdict(kind=kind, value=first, samples=samples)
+    witness = (view.flat.point_at(0), view.point(indices, zcols, int(diff[0])))
+    return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness, samples=samples)
 
 
 def verify_flat(
@@ -84,73 +175,72 @@ def verify_flat(
 ) -> Verdict:
     """Check that f is constant on the flat.
 
-    Exhaustive when the flat has at most sample_cap points, otherwise
-    sample_cap uniform points drawn from a seeded generator. Points are
-    evaluated as g at the preimage coordinates, so no symbolic composition
-    happens regardless of the bijection.
+    Points are evaluated as g at the preimage coordinates, so no symbolic
+    composition happens regardless of the bijection. g depends only on
+    its support S (the union of its monomials), so every check works on
+    the flat projected onto S. In order:
+
+    - exhaustive when the flat has at most sample_cap points;
+    - otherwise exact on the low-degree information set: the basis
+      vectors J whose projections are independent parametrise the
+      projected flat, f on the flat has degree d <= min(deg g, |J|) in
+      those coordinates, and such a function is constant iff it is
+      constant on the Hamming ball of radius d (docs/design-notes.md);
+    - when that ball has more than sample_cap points, sample_cap uniform
+      points drawn from a seeded generator.
     """
     if flat.ambient != func.num_vars:
         raise DimensionMismatchError("flat ambient does not match the function")
+    g = func.g
     k = flat.dimension
     g_flat = _g_side_flat(func, flat)
+    support_mask = 0
+    for m in g.terms:
+        support_mask |= m
+    support = bit_indices(support_mask)
+    rows = bitvec_rows([g_flat.offset, *g_flat.basis], flat.ambient)[:, support]
+    view = _SupportView(flat, reindex(g, [s + 1 for s in support]), rows[0], rows[1:])
     if (1 << k) <= sample_cap:
-        points = flat_points_matrix(g_flat)
-        values = evaluate_on_points(func.g, points)
-        first = int(values[0])
-        diff = np.nonzero(values != first)[0]
-        if diff.size == 0:
-            return Verdict(kind=VERDICT_CONSTANT, value=first)
-        other = int(diff[0])
-        witness = (flat.point_at(0), flat.point_at(other))
-        return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness)
+        return _check_constant(view, range(k), _counting_columns(k), 1 << k, VERDICT_CONSTANT)
+    reduced: dict[int, int] = {}
+    independent = [
+        j for j, b in enumerate(g_flat.basis) if insert_independent(reduced, b.bits & support_mask)
+    ]
+    r = len(independent)
+    d = min(g.degree(), r)
+    ball = sum(math.comb(r, w) for w in range(d + 1))
+    if ball <= sample_cap:
+        zcols = _ball_columns(r, d)
+        return _check_constant(
+            view, independent, zcols, ball, VERDICT_CONSTANT_LOW_DEGREE, samples=ball
+        )
     if sample_cap < 1:
         raise InconsistentError("sample cap must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    nbytes = (sample_cap + 7) // 8
     # flat-coordinate bits of all samples, packed along the point axis
-    zcols = rng.integers(0, 256, size=(nbytes, k), dtype=np.uint8)
-    cols = np.zeros((nbytes, flat.ambient), dtype=np.uint8)
-    for j, b in enumerate(g_flat.basis):
-        support = np.nonzero(bitvec_row(b))[0]
-        cols[:, support] ^= zcols[:, j : j + 1]
-    offset_support = np.nonzero(bitvec_row(g_flat.offset))[0]
-    cols[:, offset_support] ^= np.uint8(0xFF)
-    values = np.unpackbits(evaluate_packed_columns(func.g, cols))[:sample_cap]
-
-    def flat_coords(index: int) -> np.ndarray:
-        byte, bit = index >> 3, 7 - (index & 7)
-        return (zcols[byte] >> bit) & 1
-
+    zcols = rng.integers(0, 256, size=((sample_cap + 7) // 8, k), dtype=np.uint8)
+    values = view.values(range(k), zcols, sample_cap)
     reference = claimed if claimed is not None else int(values[0])
-    diff = np.nonzero(values != reference)[0]
+    diff = np.flatnonzero(values != reference)
     if diff.size == 0:
         return Verdict(
             kind=VERDICT_SAMPLED_OK, value=reference, samples=sample_cap, seed=seed
         )
-    bad = int(diff[0])
-    same = np.nonzero(values == reference)[0]
-    bad_point = _flat_point_from_coords(flat, flat_coords(bad))
+    same = np.flatnonzero(values == reference)
+    bad_point = view.point(range(k), zcols, int(diff[0]))
     if same.size == 0:
         # every sample disagrees with the claim; two equal samples are no
         # witness pair, so report the claim failure with a single point
         return Verdict(
             kind=VERDICT_NOT_CONSTANT, witness=(bad_point,), samples=sample_cap, seed=seed
         )
-    good_point = _flat_point_from_coords(flat, flat_coords(int(same[0])))
+    good_point = view.point(range(k), zcols, int(same[0]))
     return Verdict(
         kind=VERDICT_NOT_CONSTANT,
         witness=(good_point, bad_point),
         samples=sample_cap,
         seed=seed,
     )
-
-
-def _flat_point_from_coords(flat: Flat, z_row: np.ndarray) -> BitVec:
-    bits = flat.offset.bits
-    for j, zbit in enumerate(z_row):
-        if zbit:
-            bits ^= flat.basis[j].bits
-    return BitVec(flat.ambient, bits)
 
 
 def guaranteed_dimension(n: int, epsilon: float) -> float:
@@ -225,9 +315,9 @@ def find_constant_flat(
 
     verdict = verify_flat(func, flat, constant, sample_cap=sample_cap, seed=verify_seed)
     if verdict.kind == VERDICT_CONSTANT:
-        if verdict.value != constant:
-            raise VerificationError("flat is constant with an unexpected value")
         verification = {"mode": "exhaustive", "value": verdict.value}
+    elif verdict.kind == VERDICT_CONSTANT_LOW_DEGREE:
+        verification = {"mode": "low_degree", "value": verdict.value, "points": verdict.samples}
     elif verdict.kind == VERDICT_SAMPLED_OK:
         verification = {
             "mode": "sampled",
@@ -237,6 +327,8 @@ def find_constant_flat(
         }
     else:
         raise VerificationError("constructed flat failed verification")
+    if verdict.value != constant:
+        raise VerificationError("flat is constant with an unexpected value")
 
     report = FlatReport(
         flat=flat,
@@ -278,8 +370,6 @@ def brute_force_normality(f: Anf, max_vars: int = DEFAULT_NORMALITY_CAP) -> tupl
 
 def _echelon_bases(n: int, k: int):
     """Yield each k-dimensional subspace once, as reduced-echelon row ints."""
-    from itertools import combinations
-
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
         free_slots = [

@@ -89,6 +89,39 @@ def test_find_flat_json_schema(capsys, prop6_file):
     assert payload["verification"]["mode"] == "exhaustive"
 
 
+def test_find_flat_and_verify_low_degree_at_n64(capsys, tmp_path):
+    import numpy as np
+
+    from anflat.anf_core import FunctionInput
+    from anflat.f2_linalg import random_affine_map
+    from anflat.generators import Degree3SamplerConfig, random_degree3_sparse
+
+    g = random_degree3_sparse(Degree3SamplerConfig(n=64, s=2.0, seed=64, inclusion_scale=0.5))
+    bijection = random_affine_map(64, np.random.default_rng(64))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(FunctionInput(g, bijection).to_json_dict()))
+    code, out, _ = run_cli(capsys, "find-flat", "--json", str(path))
+    assert code == 0
+    payload = validated(out, "flat-report")
+    verification = payload["verification"]
+    assert verification["mode"] == "low_degree"
+    assert verification["value"] == payload["constant"]
+    assert 0 < verification["points"] < 1 << 20 < 1 << payload["dimension"]
+
+    flat_path = tmp_path / "flat.json"
+    flat_path.write_text(json.dumps({"offset": payload["offset"], "basis": payload["basis"]}))
+    argv = ["verify-flat", "--flat", str(flat_path), str(path)]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    verdict = validated(out, "verify")
+    assert verdict["verdict"] == "constant_low_degree"
+    assert verdict["points"] == verification["points"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f"points: {verification['points']}" in out.splitlines()
+    assert "samples" not in out
+
+
 def test_find_flat_epsilon(capsys, prop6_file):
     code, out, _ = run_cli(capsys, "find-flat", "--json", "--epsilon", "1.0", prop6_file)
     payload = validated(out, "flat-report")
@@ -332,6 +365,20 @@ def test_internal_verification_failure_exit_3(capsys, monkeypatch, prop6_file):
     code, _, err = run_cli(capsys, "find-flat", prop6_file)
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("kind", ["constant", "constant_low_degree"])
+def test_wrong_verified_value_exit_3(capsys, monkeypatch, prop6_file, kind):
+    # a constant verdict whose value differs from the Dickson constant is an internal failure
+    import anflat.pipeline as pipeline_module
+
+    def wrong_value(func, flat, claimed=None, **kwargs):
+        return pipeline_module.Verdict(kind=kind, value=1 - claimed, samples=7)
+
+    monkeypatch.setattr(pipeline_module, "verify_flat", wrong_value)
+    code, _, err = run_cli(capsys, "find-flat", prop6_file)
+    assert code == 3
+    assert "unexpected value" in err
 
 
 @pytest.mark.parametrize(

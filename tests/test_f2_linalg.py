@@ -11,6 +11,7 @@ from anflat.f2_linalg import (
     BitVec,
     Flat,
     identity_map,
+    insert_independent,
     invert,
     random_affine_map,
     random_bitvec,
@@ -24,6 +25,18 @@ def test_bitvec_string_roundtrip():
     assert v.length == 4 and v.bits == 0b0101  # leftmost char is x1 = bit 0
     assert v.to_string() == "1010"
     assert v.bit(0) == 1 and v.bit(1) == 0
+
+
+def test_bitvec_string_roundtrip_random_and_short(rng):
+    assert BitVec(0).to_string() == ""
+    assert BitVec.from_string("").length == 0
+    assert BitVec(1, 1).to_string() == "1" and BitVec(1).to_string() == "0"
+    for length in (0, 1, 2, 7, 8, 9, 64, 1000):
+        for _ in range(5):
+            v = random_bitvec(length, rng)
+            text = v.to_string()
+            assert text == "".join(str(v.bit(j)) for j in range(length))
+            assert BitVec.from_string(text) == v
 
 
 def test_bitvec_rejects_overflow():
@@ -90,6 +103,26 @@ def test_compose_identity_and_inverse(rng):
             x = random_bitvec(n, rng)
             assert inv.apply(a.apply(x)) == x
             assert a.apply(inv.apply(x)) == x
+
+
+def test_inverse_reuses_cached_matrices(rng, monkeypatch):
+    import anflat.f2_linalg as f2
+
+    a = random_affine_map(8, rng)
+    monkeypatch.setattr(f2, "invert", lambda m: pytest.fail("inverse() eliminated again"))
+    inv = a.inverse()
+    assert inv.inverse_matrix == a.matrix
+    assert inv.inverse() == a
+
+
+def test_insert_independent_keeps_a_basis(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        vectors = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 12)))]
+        reduced: dict[int, int] = {}
+        kept = [v for v in vectors if insert_independent(reduced, v)]
+        assert rank(BitMatrix.from_rows(kept, n)) == len(kept)
+        assert len(kept) == rank(BitMatrix.from_rows(vectors, n))
 
 
 def test_affine_map_rejects_singular():

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -10,10 +11,12 @@ from anflat.anf_core import (
     parse_anf,
 )
 from anflat.errors import TooLargeError
-from anflat.f2_linalg import BitVec, Flat, random_affine_map
+from anflat.experiments import random_flat
+from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
 from anflat.generators import prop6_base, random_degree3_half
 from anflat.pipeline import (
     VERDICT_CONSTANT,
+    VERDICT_CONSTANT_LOW_DEGREE,
     VERDICT_NOT_CONSTANT,
     VERDICT_SAMPLED_OK,
     brute_force_normality,
@@ -22,7 +25,7 @@ from anflat.pipeline import (
     guaranteed_dimension,
     verify_flat,
 )
-from conftest import random_anf, random_quadratic
+from conftest import random_anf, random_quadratic, slow_evaluate
 
 
 def all_flats_brute_force(n: int):
@@ -138,21 +141,96 @@ def test_verify_flat_verdicts():
     assert v.kind == VERDICT_CONSTANT and v.value == 1
 
 
+def ball_size(func: FunctionInput, flat: Flat) -> int:
+    """Points of the Hamming ball the low-degree check evaluates, from first principles."""
+    support = 0
+    for m in func.g.terms:
+        support |= m
+    g_flat = flat if func.bijection is None else flat.map_through(func.bijection.inverse())
+    r = rank(BitMatrix.from_rows([b.bits & support for b in g_flat.basis], flat.ambient))
+    return sum(math.comb(r, w) for w in range(min(func.g.degree(), r) + 1))
+
+
 def test_verify_flat_sampled_mode(rng):
     n = 24
     f = random_degree3_half(n, 11)
-    report = find_constant_flat(FunctionInput(f))
-    if report.flat.dimension < 3:
-        pytest.skip("trace left too small a flat for a sampled check")
-    v = verify_flat(
-        FunctionInput(f), report.flat, claimed=report.constant, sample_cap=1 << (report.flat.dimension - 1)
-    )
+    func = FunctionInput(f)
+    report = find_constant_flat(func)
+    cap = ball_size(func, report.flat) - 1  # below the ball: only sampling fits the cap
+    if cap < 1 or cap >= 1 << report.flat.dimension:
+        pytest.skip("flat too small for a sampled check below the ball")
+    v = verify_flat(func, report.flat, claimed=report.constant, sample_cap=cap)
     assert v.kind == VERDICT_SAMPLED_OK
-    assert v.samples == 1 << (report.flat.dimension - 1)
+    assert v.samples == cap
     # sampled rejection: the full space is not constant for this f
     full = Flat(n, BitVec(n), tuple(BitVec(n, 1 << i) for i in range(n)))
-    v = verify_flat(FunctionInput(f), full, sample_cap=512)
-    assert v.kind == VERDICT_NOT_CONSTANT
+    assert ball_size(func, full) > 512
+    v = verify_flat(func, full, sample_cap=512)
+    assert v.kind == VERDICT_NOT_CONSTANT and v.seed is not None
+
+
+def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
+    """None when the ball exceeds 2^k - 1 points, else whether f is constant on the flat.
+
+    The exhaustive verdict is checked against the slow evaluator first;
+    the low-degree check, forced by a cap of 2^k - 1, must then agree with
+    it, and a witness pair must really disagree.
+    """
+    inverse = None if func.bijection is None else func.bijection.inverse()
+    points = flat.points()
+    values = [
+        slow_evaluate(func.g, (p if inverse is None else inverse.apply(p)).bits) for p in points
+    ]
+    exact = verify_flat(func, flat)
+    if len(set(values)) == 1:
+        assert exact.kind == VERDICT_CONSTANT and exact.value == values[0]
+    else:
+        first_other = next(i for i, v in enumerate(values) if v != values[0])
+        assert exact.kind == VERDICT_NOT_CONSTANT
+        assert exact.witness == (points[0], points[first_other])
+
+    ball = ball_size(func, flat)
+    low = verify_flat(func, flat, sample_cap=(1 << flat.dimension) - 1)
+    if ball >= 1 << flat.dimension:
+        assert low.seed is not None  # the sampled fallback ran instead
+        return None
+    assert low.seed is None and low.samples == ball
+    if exact.kind == VERDICT_CONSTANT:
+        assert low.kind == VERDICT_CONSTANT_LOW_DEGREE and low.value == exact.value
+        return True
+    assert low.kind == VERDICT_NOT_CONSTANT
+    a, b = low.witness
+    assert a == points[0] and func.evaluate(a) != func.evaluate(b)
+    return False
+
+
+def test_low_degree_verification_matches_exhaustive(rng):
+    """Hamming-ball verification agrees with exhaustive evaluation on every flat it checks."""
+    outcomes = []
+    for trial in range(200):
+        n = int(rng.integers(1, 11))
+        rate = (0.03, 0.1, 0.2)[trial % 3]
+        g = Anf(n, frozenset(m for m in range(1 << n) if m.bit_count() <= 3 and rng.random() < rate))
+        bijection = random_affine_map(n, rng) if trial % 2 else None
+        func = FunctionInput(g, bijection)
+        flats = [find_constant_flat(func).flat]
+        flats += [random_flat(n, k, rng) for k in range(1, n + 1) for _ in range(3)]
+        for flat in flats:
+            if flat.dimension == 0:
+                continue
+            constant = check_low_degree_against_exhaustive(func, flat)
+            outcomes.append(constant)
+            if constant:
+                # one flipped term of degree <= 3 usually breaks constancy on the flat
+                for _ in range(3):
+                    term = 0
+                    for j in rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False):
+                        term |= 1 << int(j)
+                    flipped = FunctionInput(Anf(n, g.terms ^ {term}), bijection)
+                    outcomes.append(check_low_degree_against_exhaustive(flipped, flat))
+    ran = [c for c in outcomes if c is not None]
+    assert len(ran) >= 3000
+    assert ran.count(True) >= 800 and ran.count(False) >= 2000
 
 
 def test_brute_force_normality_examples():
