@@ -17,13 +17,12 @@ from .anf_core import (
 )
 from .f2_linalg import AffineMap, BitMatrix, BitVec, Flat
 from .pipeline import FlatReport, find_constant_flat, verify_flat
-from .quadratic import DicksonForm, dickson_decompose, quadratic_flat
+from .quadratic import DicksonForm, dickson_decompose
 from .restriction import (
     RestrictionState,
     RestrictionTrace,
     UntilCrucialAtMostThirdOfAlive,
     UntilNoCrucial,
-    UntilSteps,
     exhaustive_hitting_set,
     greedy_restrict,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "TruthTable",
     "UntilCrucialAtMostThirdOfAlive",
     "UntilNoCrucial",
-    "UntilSteps",
     "anf_to_truth_table",
     "compose_affine",
     "dickson_decompose",
@@ -53,7 +51,6 @@ __all__ = [
     "format_anf",
     "greedy_restrict",
     "parse_anf",
-    "quadratic_flat",
     "truth_table_to_anf",
     "verify_flat",
     "__version__",

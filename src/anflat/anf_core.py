@@ -23,6 +23,8 @@ from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_js
 
 DEFAULT_TABLE_CAP = 24
 DEFAULT_TERM_CEILING = 1 << 22
+MAX_VARS = 4096  # most variables an input may declare or index
+MAX_INDEX_DIGITS = len(str(MAX_VARS))
 
 
 @dataclass(frozen=True)
@@ -139,12 +141,16 @@ def parse_anf(text: str, num_vars: int) -> Anf:
             raise AnfSyntaxError("expected 'x<index>' or '1'", pos)
         start = pos
         pos += 1
-        digits = ""
-        while pos < n and text[pos].isdigit():
-            digits += text[pos]
+        while pos < n and text[pos].isdecimal():
             pos += 1
+        digits = text[start + 1 : pos]
         if not digits:
             raise AnfSyntaxError("expected digits after 'x'", pos)
+        if len(digits) > MAX_INDEX_DIGITS:
+            raise TooLargeError(
+                f"index of {len(digits)} digits exceeds the cap of {MAX_VARS} variables "
+                f"(at position {start})"
+            )
         idx = int(digits)
         if not 1 <= idx <= num_vars:
             raise IndexOutOfRangeError(
@@ -417,6 +423,8 @@ class FunctionInput:
         n = json_field(obj, "n", int, "container")
         if n < 0:
             raise InconsistentError("container field 'n' must be a nonnegative integer")
+        if n > MAX_VARS:
+            raise TooLargeError(f"container field 'n' = {n} exceeds the cap of {MAX_VARS}")
         g = parse_anf(json_field(obj, "anf", str, "container"), n)
         bij = obj.get("bijection")
         bijection = None if bij is None else AffineMap.from_json_dict(bij)

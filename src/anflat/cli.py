@@ -19,6 +19,8 @@ from pathlib import Path
 
 from . import experiments, generators, pipeline
 from .anf_core import (
+    MAX_INDEX_DIGITS,
+    MAX_VARS,
     FunctionInput,
     TruthTable,
     anf_to_truth_table,
@@ -26,7 +28,7 @@ from .anf_core import (
     parse_anf,
     truth_table_to_anf,
 )
-from .errors import AnflatError, InconsistentError, VerificationError
+from .errors import AnflatError, InconsistentError, TooLargeError, VerificationError
 from .f2_linalg import Flat, load_json
 from .restriction import exhaustive_hitting_set, occurrence_counts
 
@@ -66,8 +68,10 @@ def _emit_json(obj: dict, out: str | None = None) -> None:
 
 
 def _infer_num_vars(text: str) -> int:
-    indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-    return max(indices, default=1)
+    digits = re.findall(r"x(\d+)", text)
+    if any(len(d) > MAX_INDEX_DIGITS for d in digits):
+        raise TooLargeError(f"an index exceeds the cap of {MAX_VARS} variables")
+    return max(map(int, digits), default=1)
 
 
 def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput:
@@ -77,6 +81,8 @@ def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput
     if fmt == "container":
         return FunctionInput.from_json_text(text)
     n = n_override if n_override is not None else _infer_num_vars(text)
+    if n > MAX_VARS:
+        raise TooLargeError(f"n = {n} exceeds the cap of {MAX_VARS} variables")
     return FunctionInput(parse_anf(text, n))
 
 
@@ -182,16 +188,10 @@ def cmd_verify_flat(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    text = _read_input(args.file)
     if args.source == "anf":
-        if text.lstrip().startswith("{"):
-            func = FunctionInput.from_json_text(text)
-            f = func.g
-        else:
-            n = args.n if args.n is not None else _infer_num_vars(text)
-            f = parse_anf(text, n)
+        f = _load_function(args.file, "auto", args.n).g
     else:
-        f = truth_table_to_anf(TruthTable.from_string(text))
+        f = truth_table_to_anf(TruthTable.from_string(_read_input(args.file)))
     if args.target == "anf":
         if args.json:
             _emit_json({"n": f.num_vars, "anf": format_anf(f)}, args.out)

@@ -16,12 +16,12 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .anf_core import evaluate_on_points, flat_points_matrix
+from .anf_core import Anf, evaluate_on_points, flat_points_matrix
 from .errors import InconsistentError, TooLargeError
 from .f2_linalg import BitVec, Flat, insert_independent, random_bits
 from .generators import sample_degree3_with_rng
@@ -195,118 +195,61 @@ def _trial_rng(cfg: ExperimentConfig, index: int) -> tuple[int, np.random.Genera
     return seed, np.random.Generator(np.random.PCG64(seed))
 
 
-def run_disperser_flats(cfg: ExperimentConfig) -> ExperimentReport:
-    """Constancy rate of sparse degree-3 samples over uniform k-flats.
+def _constant_flats(cfg: ExperimentConfig, f: Anf, rng: np.random.Generator) -> dict:
+    """Draw flats_per_trial uniform k-flats; count those f is constant on.
 
-    Each trial draws one function and flats_per_trial uniform flats of
-    dimension k, checking constancy exhaustively over each flat's points.
+    Constancy is checked exhaustively over each flat's points.
     """
-    if cfg.kind != KIND_FLATS:
-        raise InconsistentError(f"config kind is {cfg.kind!r}")
-    start = time.perf_counter()
-    p = cfg.inclusion_probability()
-    outcomes = []
-    constant_pairs = 0
-    for i in range(cfg.trials):
-        seed, rng = _trial_rng(cfg, i)
-        f = sample_degree3_with_rng(cfg.n, p, rng)
-        constant_here = 0
-        for _ in range(cfg.flats_per_trial):
-            flat = random_flat(cfg.n, cfg.k, rng)
-            values = evaluate_on_points(f, flat_points_matrix(flat))
-            if int(values.min()) == int(values.max()):
-                constant_here += 1
-        constant_pairs += constant_here
-        outcomes.append(
-            {
-                "trial": i,
-                "seed": seed,
-                "sparsity": f.sparsity(),
-                "flats": cfg.flats_per_trial,
-                "constant_flats": constant_here,
-            }
+    constant = 0
+    for _ in range(cfg.flats_per_trial):
+        flat = random_flat(cfg.n, cfg.k, rng)
+        values = evaluate_on_points(f, flat_points_matrix(flat))
+        if int(values.min()) == int(values.max()):
+            constant += 1
+    return {"flats": cfg.flats_per_trial, "constant_flats": constant}
+
+
+def _degenerate_restrictions(cfg: ExperimentConfig, f: Anf, rng: np.random.Generator) -> dict:
+    """Zero all but k uniform variables, restrictions_per_trial times; count
+    the restrictions that kill degree 3."""
+    degenerate = 0
+    for _ in range(cfg.restrictions_per_trial):
+        keep_mask = sum(1 << int(j) for j in rng.permutation(cfg.n)[: cfg.k])
+        residual_degree = max(
+            (m.bit_count() for m in f.terms if m & ~keep_mask == 0), default=0
         )
-    total = cfg.trials * cfg.flats_per_trial
-    low, high = wilson_interval(constant_pairs, total)
-    aggregate = {
-        "pairs": total,
-        "constant_pairs": constant_pairs,
-        "constancy_rate": constant_pairs / total,
-        "wilson_ci_95": [low, high],
-    }
-    return ExperimentReport(
-        config=cfg.echo(),
-        outcomes=outcomes,
-        aggregate=aggregate,
-        wall_clock=time.perf_counter() - start,
-    )
+        if residual_degree < 3:
+            degenerate += 1
+    return {"restrictions": cfg.restrictions_per_trial, "degenerate": degenerate}
 
 
-def run_disperser_zero_restrictions(cfg: ExperimentConfig) -> ExperimentReport:
-    """Rate at which zeroing all but k uniform variables kills degree 3."""
-    if cfg.kind != KIND_RESTRICTIONS:
-        raise InconsistentError(f"config kind is {cfg.kind!r}")
-    start = time.perf_counter()
-    p = cfg.inclusion_probability()
-    outcomes = []
-    degenerate_total = 0
-    for i in range(cfg.trials):
-        seed, rng = _trial_rng(cfg, i)
-        f = sample_degree3_with_rng(cfg.n, p, rng)
-        degenerate_here = 0
-        for _ in range(cfg.restrictions_per_trial):
-            keep = rng.permutation(cfg.n)[: cfg.k]
-            keep_mask = 0
-            for j in keep:
-                keep_mask |= 1 << int(j)
-            residual_degree = max(
-                (m.bit_count() for m in f.terms if m & ~keep_mask == 0), default=0
-            )
-            if residual_degree < 3:
-                degenerate_here += 1
-        degenerate_total += degenerate_here
-        outcomes.append(
-            {
-                "trial": i,
-                "seed": seed,
-                "sparsity": f.sparsity(),
-                "restrictions": cfg.restrictions_per_trial,
-                "degenerate": degenerate_here,
-            }
-        )
-    total = cfg.trials * cfg.restrictions_per_trial
-    low, high = wilson_interval(degenerate_total, total)
-    aggregate = {
-        "restrictions": total,
-        "degenerate": degenerate_total,
-        "degenerate_rate": degenerate_total / total,
-        "wilson_ci_95": [low, high],
-    }
-    return ExperimentReport(
-        config=cfg.echo(),
-        outcomes=outcomes,
-        aggregate=aggregate,
-        wall_clock=time.perf_counter() - start,
-    )
+# kind -> (per-trial fields, their (tries, hits) keys, the aggregate's
+# (tries, hits, rate) keys)
+_RATE_KINDS = {
+    KIND_FLATS: (
+        _constant_flats, ("flats", "constant_flats"), ("pairs", "constant_pairs", "constancy_rate")
+    ),
+    KIND_RESTRICTIONS: (
+        _degenerate_restrictions,
+        ("restrictions", "degenerate"),
+        ("restrictions", "degenerate", "degenerate_rate"),
+    ),
+}
 
 
-def run_sampler_stats(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical sparsity moments of a sampler against binomial predictions."""
-    if cfg.kind != KIND_SAMPLER:
-        raise InconsistentError(f"config kind is {cfg.kind!r}")
-    start = time.perf_counter()
-    if cfg.family == "rand3-half":
-        p = 0.5
-    else:
-        p = cfg.inclusion_probability()
+def _wilson_rate(outcomes: list[dict], row_keys: tuple, names: tuple) -> dict:
+    """Hit rate pooled over all trials, with its 95% Wilson interval."""
+    tries, hits = (sum(row[key] for row in outcomes) for key in row_keys)
+    low, high = wilson_interval(hits, tries)
+    tries_name, hits_name, rate_name = names
+    rate = hits / tries
+    return {tries_name: tries, hits_name: hits, rate_name: rate, "wilson_ci_95": [low, high]}
+
+
+def _sparsity_moments(cfg: ExperimentConfig, p: float, outcomes: list[dict]) -> dict:
+    """Empirical sparsity moments against the binomial predictions."""
     total_terms = math.comb(cfg.n, 3)
-    outcomes = []
-    sparsities = []
-    for i in range(cfg.trials):
-        seed, rng = _trial_rng(cfg, i)
-        f = sample_degree3_with_rng(cfg.n, p, rng)
-        sparsities.append(f.sparsity())
-        outcomes.append({"trial": i, "seed": seed, "sparsity": f.sparsity()})
+    sparsities = [row["sparsity"] for row in outcomes]
     mean = sum(sparsities) / len(sparsities)
     if len(sparsities) > 1:
         variance = sum((x - mean) ** 2 for x in sparsities) / (len(sparsities) - 1)
@@ -316,7 +259,7 @@ def run_sampler_stats(cfg: ExperimentConfig) -> ExperimentReport:
     expected_var = p * (1.0 - p) * total_terms
     sigma_of_mean = math.sqrt(expected_var / cfg.trials)
     deviation = abs(mean - expected_mean) / sigma_of_mean if sigma_of_mean else 0.0
-    aggregate = {
+    return {
         "inclusion_probability": p,
         "possible_terms": total_terms,
         "mean_sparsity": mean,
@@ -327,17 +270,38 @@ def run_sampler_stats(cfg: ExperimentConfig) -> ExperimentReport:
         "deviation_sigmas": deviation,
         "within_4_sigma": deviation <= 4.0,
     }
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run every trial of cfg in index order, then aggregate the rows.
+
+    Trial i seeds its generator with stable_seed(master_seed, i), samples
+    f from it and records {trial, seed, sparsity}. The disperser kinds then
+    draw their flats or restrictions from the same generator and add their
+    counts to the row; their aggregate is a rate with a Wilson interval.
+    sampler-stats aggregates the sparsity moments.
+    """
+    start = time.perf_counter()
+    if cfg.kind == KIND_SAMPLER and cfg.family == "rand3-half":
+        p = 0.5
+    else:
+        p = cfg.inclusion_probability()
+    trial_fields, row_keys, names = _RATE_KINDS.get(cfg.kind, (None, None, None))
+    outcomes = []
+    for i in range(cfg.trials):
+        seed, rng = _trial_rng(cfg, i)
+        f = sample_degree3_with_rng(cfg.n, p, rng)
+        row = {"trial": i, "seed": seed, "sparsity": f.sparsity()}
+        if trial_fields is not None:
+            row.update(trial_fields(cfg, f, rng))
+        outcomes.append(row)
+    if trial_fields is None:
+        aggregate = _sparsity_moments(cfg, p, outcomes)
+    else:
+        aggregate = _wilson_rate(outcomes, row_keys, names)
     return ExperimentReport(
         config=cfg.echo(),
         outcomes=outcomes,
         aggregate=aggregate,
         wall_clock=time.perf_counter() - start,
     )
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.kind == KIND_FLATS:
-        return run_disperser_flats(cfg)
-    if cfg.kind == KIND_RESTRICTIONS:
-        return run_disperser_zero_restrictions(cfg)
-    return run_sampler_stats(cfg)

@@ -37,7 +37,7 @@ def load_json(text: str, what: str):
     """Decoded JSON text; InconsistentError instead of a decode error."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also ints past 4300 digits
         raise InconsistentError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -76,13 +76,10 @@ class BitVec:
         if not isinstance(text, str):
             raise InconsistentError(f"vector must be a string of '0'/'1' characters: {text!r}")
         text = text.strip()
-        if any(c not in "01" for c in text):
+        if not set(text) <= {"0", "1"}:
             raise InconsistentError(f"vector text must be '0'/'1' characters: {text!r}")
-        bits = 0
-        for j, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << j
-        return cls(len(text), bits)
+        # the first character is bit 0, so reversed text is the binary numeral
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def to_string(self) -> str:
         if self.length == 0:
@@ -121,10 +118,6 @@ class BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
     def from_rows(cls, rows: Sequence[int], cols: int) -> "BitMatrix":
         return cls(len(rows), cols, tuple(rows))
 
@@ -140,9 +133,6 @@ class BitMatrix:
 
     def to_strings(self) -> list[str]:
         return [BitVec(self.cols, r).to_string() for r in self.row_bits]
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_bits[i])
 
     def mul_vec(self, v: BitVec) -> BitVec:
         if v.length != self.cols:
@@ -164,29 +154,6 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
 
-def _rref(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def insert_independent(reduced: dict[int, int], v: int) -> bool:
     """XOR-basis insertion: whether v is independent of the vectors in reduced.
 
@@ -204,20 +171,29 @@ def insert_independent(reduced: dict[int, int], v: int) -> bool:
 
 
 def rank(m: BitMatrix) -> int:
-    _, pivots = _rref(list(m.row_bits), m.cols)
-    return len(pivots)
+    reduced: dict[int, int] = {}
+    return sum(insert_independent(reduced, r) for r in m.row_bits)
 
 
 def invert(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix; raises SingularMatrixError otherwise."""
+    """Inverse of a square matrix; raises SingularMatrixError otherwise.
+
+    Gauss-Jordan on [M | I]: once the left half is reduced to I, the right
+    half is M^-1.
+    """
     if m.rows != m.cols:
         raise DimensionMismatchError("only square matrices can be inverted")
     n = m.rows
-    work = [m.row_bits[i] | (1 << (n + i)) for i in range(n)]
-    reduced, pivots = _rref(work, n)
-    if len(pivots) != n:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
-    return BitMatrix(n, n, tuple(r >> n for r in reduced))
+    rows = [m.row_bits[i] | (1 << (n + i)) for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if (rows[i] >> c) & 1), None)
+        if pivot is None:
+            raise SingularMatrixError(f"matrix has rank {rank(m)} < {n}")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for i in range(n):
+            if i != c and (rows[i] >> c) & 1:
+                rows[i] ^= rows[c]
+    return BitMatrix(n, n, tuple(r >> n for r in rows))
 
 
 @dataclass(frozen=True)
@@ -288,8 +264,8 @@ class Flat:
         for b in self.basis:
             if b.length != self.ambient:
                 raise DimensionMismatchError("flat basis vector has wrong length")
-        mat = BitMatrix.from_rows([b.bits for b in self.basis], self.ambient)
-        if rank(mat) != len(self.basis):
+        reduced: dict[int, int] = {}
+        if not all(insert_independent(reduced, b.bits) for b in self.basis):
             raise InconsistentError("flat basis vectors are not independent")
 
     @property
@@ -319,10 +295,6 @@ class Flat:
             a.apply(self.offset),
             tuple(a.matrix.mul_vec(b) for b in self.basis),
         )
-
-    def to_text(self) -> str:
-        lines = [self.offset.to_string()] + [b.to_string() for b in self.basis]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Flat":

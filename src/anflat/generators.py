@@ -5,7 +5,6 @@ produces the same ANF on every platform.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -119,9 +118,6 @@ class Degree3SamplerConfig:
         if not 0.0 < p <= 0.5:
             raise InconsistentError(f"inclusion probability {p} outside (0, 1/2]")
         object.__setattr__(self, "p", p)
-
-    def expected_sparsity(self) -> float:
-        return self.p * math.comb(self.n, 3)
 
 
 def random_degree3_sparse(cfg: Degree3SamplerConfig) -> Anf:

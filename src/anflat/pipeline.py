@@ -443,19 +443,22 @@ def brute_force_thickness(f: Anf, max_vars: int = DEFAULT_THICKNESS_CAP) -> int:
 
 
 def _invertible_matrices(n: int):
-    """All invertible n x n matrices as row tuples, in numeric row order."""
-    from .f2_linalg import _rref
+    """All invertible n x n matrices as row tuples, in numeric row order.
 
+    Each level keeps the XOR basis of the rows above it, so a candidate row
+    costs one insertion into a copy of that basis.
+    """
     size = 1 << n
     rows = [0] * n
-    def build(i: int):
+
+    def build(i: int, reduced: dict[int, int]):
         if i == n:
             yield tuple(rows)
             return
         for r in range(size):
-            rows[i] = r
-            work = list(rows[: i + 1])
-            _, pivots = _rref(work, n)
-            if len(pivots) == i + 1:
-                yield from build(i + 1)
-    yield from build(0)
+            extended = dict(reduced)
+            if insert_independent(extended, r):
+                rows[i] = r
+                yield from build(i + 1, extended)
+
+    yield from build(0, {})

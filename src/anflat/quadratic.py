@@ -215,8 +215,3 @@ def flat_from_dickson(d: DicksonForm) -> tuple[Flat, int]:
     basis = tuple(BitVec(n, columns[j]) for j in range(n) if j not in fixed)
     constant = d.c if d.form_type == "I" else 0
     return Flat(n, inv.mul_vec(d.map.offset), basis), constant
-
-
-def quadratic_flat(f: Anf) -> tuple[Flat, int]:
-    """Flat plus constant witnessing that a degree <= 2 function is normal."""
-    return flat_from_dickson(dickson_decompose(f))

@@ -32,9 +32,6 @@ class RestrictionTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def variables(self) -> list[int]:
-        return [s.var for s in self.steps]
-
     def to_json_list(self) -> list[dict]:
         return [
             {"var": s.var, "crucial_before": s.crucial_before, "occ": s.occ}
@@ -54,13 +51,6 @@ class UntilNoCrucial(StopRule):
 @dataclass(frozen=True)
 class UntilCrucialAtMostThirdOfAlive(StopRule):
     """Run until the crucial count is at most a third of the alive count."""
-
-
-@dataclass(frozen=True)
-class UntilSteps(StopRule):
-    """Run for at most k steps (fewer if the crucial terms run out first)."""
-
-    k: int
 
 
 def occurrence_counts(f: Anf, alive: set[int]) -> dict[int, int]:
@@ -175,8 +165,6 @@ def _stop(state: RestrictionState, rule: StopRule) -> bool:
         return False
     if isinstance(rule, UntilCrucialAtMostThirdOfAlive):
         return 3 * state.crucial_count <= len(state._alive)
-    if isinstance(rule, UntilSteps):
-        return len(state.trace) >= rule.k
     raise TypeError(f"unknown stop rule: {rule!r}")
 
 

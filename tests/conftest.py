@@ -47,6 +47,14 @@ def slow_evaluate(f: Anf, point_bits: int) -> int:
     return acc
 
 
+def slow_rank(vectors) -> int:
+    """Rank over GF(2) from the span size: enumerate every subset XOR."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return len(span).bit_length() - 1
+
+
 def random_anf(n: int, rng: np.random.Generator, term_rate: float = 0.3) -> Anf:
     """Uniform-ish random ANF: each of the 2^n monomials kept with term_rate."""
     masks = [m for m in range(1 << n) if rng.random() < term_rate]

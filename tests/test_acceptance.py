@@ -20,7 +20,7 @@ from anflat.anf_core import (
     truth_table_to_anf,
 )
 from anflat.cli import main
-from anflat.experiments import KIND_FLATS, ExperimentConfig, run_disperser_flats
+from anflat.experiments import KIND_FLATS, ExperimentConfig, run_experiment
 from anflat.f2_linalg import random_affine_map
 from anflat.generators import (
     Degree3SamplerConfig,
@@ -267,18 +267,13 @@ def test_criterion_08_sampler_statistics(report):
 def test_criterion_09_asymptotic_disclosure(report):
     start = time.perf_counter()
     # (a) every experiment report is flagged as evidence, not proof
-    from anflat.experiments import (
-        KIND_RESTRICTIONS,
-        KIND_SAMPLER,
-        run_disperser_zero_restrictions,
-        run_sampler_stats,
-    )
+    from anflat.experiments import KIND_RESTRICTIONS, KIND_SAMPLER
 
     flats_cfg = dict(
         kind=KIND_FLATS, n=12, trials=500, master_seed=909, s=2.5, k=3, flats_per_trial=50
     )
-    rep_flats = run_disperser_flats(ExperimentConfig(**flats_cfg))
-    rep_restr = run_disperser_zero_restrictions(
+    rep_flats = run_experiment(ExperimentConfig(**flats_cfg))
+    rep_restr = run_experiment(
         ExperimentConfig(
             kind=KIND_RESTRICTIONS,
             n=16,
@@ -288,7 +283,7 @@ def test_criterion_09_asymptotic_disclosure(report):
             restrictions_per_trial=10,
         )
     )
-    rep_sampler = run_sampler_stats(
+    rep_sampler = run_experiment(
         ExperimentConfig(kind=KIND_SAMPLER, n=10, trials=20, master_seed=909, family="rand3-half")
     )
     for rep in (rep_flats, rep_restr, rep_sampler):
@@ -300,7 +295,7 @@ def test_criterion_09_asymptotic_disclosure(report):
     assert 0.0 <= rep_flats.aggregate["constancy_rate"] <= 1.0
     low, high = rep_flats.aggregate["wilson_ci_95"]
     assert low <= rep_flats.aggregate["constancy_rate"] <= high
-    again = run_disperser_flats(ExperimentConfig(**flats_cfg))
+    again = run_experiment(ExperimentConfig(**flats_cfg))
     assert again.to_json_text() == rep_flats.to_json_text()
 
     # (c) majority sparsity against the subset-sum transform oracle

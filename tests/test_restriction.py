@@ -9,7 +9,6 @@ from anflat.restriction import (
     RestrictionState,
     UntilCrucialAtMostThirdOfAlive,
     UntilNoCrucial,
-    UntilSteps,
     exhaustive_hitting_set,
     greedy_restrict,
     greedy_step,
@@ -84,15 +83,9 @@ def test_greedy_restrict_family_third_rule():
 
 
 def test_greedy_restrict_quadratic_noop():
-    for rule in (UntilNoCrucial(), UntilCrucialAtMostThirdOfAlive(), UntilSteps(5)):
+    for rule in (UntilNoCrucial(), UntilCrucialAtMostThirdOfAlive()):
         state = greedy_restrict(parse_anf("x1*x2 + x1", 2), rule)
         assert len(state.trace) == 0
-
-
-def test_until_steps_counts_steps():
-    state = greedy_restrict(complete_degree3(6), UntilSteps(2))
-    assert len(state.trace) == 2
-    assert len(state.alive) == 4
 
 
 def test_trace_invariants_on_random_inputs(rng):
