@@ -22,7 +22,7 @@ from .errors import (
 from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_json
 
 DEFAULT_TABLE_CAP = 24
-DEFAULT_TERM_CEILING = 1 << 22
+TERM_CEILING = 1 << 22
 MAX_VARS = 4096  # most variables an input may declare or index
 MAX_INDEX_DIGITS = len(str(MAX_VARS))
 
@@ -83,16 +83,6 @@ class Anf:
             if xb & m == m:
                 acc ^= 1
         return acc
-
-    def substitute_zero(self, i: int) -> "Anf":
-        """Set x_i to 0: every monomial containing x_i is deleted.
-
-        Variable i stays in the index space; callers record it as dead.
-        """
-        if not 1 <= i <= self.num_vars:
-            raise IndexOutOfRangeError(f"x{i} outside [1, {self.num_vars}]")
-        bit = 1 << (i - 1)
-        return Anf(self.num_vars, frozenset(m for m in self.terms if not m & bit))
 
     def __str__(self) -> str:
         return format_anf(self)
@@ -249,17 +239,17 @@ def _xor_butterfly(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def truth_table_to_anf(tt: TruthTable, max_vars: int = DEFAULT_TABLE_CAP) -> Anf:
+def truth_table_to_anf(tt: TruthTable) -> Anf:
     """Unique ANF agreeing with the table everywhere; O(n 2^n)."""
-    if tt.num_vars > max_vars:
-        raise TooLargeError(f"n = {tt.num_vars} exceeds table cap {max_vars}")
+    if tt.num_vars > DEFAULT_TABLE_CAP:
+        raise TooLargeError(f"n = {tt.num_vars} exceeds table cap {DEFAULT_TABLE_CAP}")
     coeffs = _xor_butterfly(tt.values, tt.num_vars)
     return Anf(tt.num_vars, frozenset(int(i) for i in np.nonzero(coeffs)[0]))
 
 
-def anf_to_truth_table(f: Anf, max_vars: int = DEFAULT_TABLE_CAP) -> TruthTable:
-    if f.num_vars > max_vars:
-        raise TooLargeError(f"n = {f.num_vars} exceeds table cap {max_vars}")
+def anf_to_truth_table(f: Anf) -> TruthTable:
+    if f.num_vars > DEFAULT_TABLE_CAP:
+        raise TooLargeError(f"n = {f.num_vars} exceeds table cap {DEFAULT_TABLE_CAP}")
     coeffs = np.zeros(1 << f.num_vars, dtype=np.uint8)
     for m in f.terms:
         coeffs[m] = 1
@@ -323,13 +313,13 @@ def flat_points_matrix(flat: Flat) -> np.ndarray:
     return out
 
 
-def compose_affine(f: Anf, a: AffineMap, term_ceiling: int = DEFAULT_TERM_CEILING) -> Anf:
+def compose_affine(f: Anf, a: AffineMap) -> Anf:
     """ANF of x -> f(a(x)), by expanding each monomial's product of forms.
 
     Every x_i inside a monomial becomes the affine form given by row i of
     the matrix plus the offset bit; products are expanded term by term with
     eager GF(2) cancellation. Worst-case growth is exponential and guarded
-    by term_ceiling.
+    by TERM_CEILING.
     """
     if a.dimension != f.num_vars:
         raise DimensionMismatchError("map dimension does not match variable count")
@@ -346,15 +336,13 @@ def compose_affine(f: Anf, a: AffineMap, term_ceiling: int = DEFAULT_TERM_CEILIN
                     _toggle(nxt, p)
                 for j in bit_indices(row):
                     _toggle(nxt, p | (1 << j))
-            if len(nxt) > term_ceiling:
-                raise BlowupExceededError(
-                    f"expansion exceeded {term_ceiling} terms"
-                )
+            if len(nxt) > TERM_CEILING:
+                raise BlowupExceededError(f"expansion exceeded {TERM_CEILING} terms")
             partial = nxt
         for p in partial:
             _toggle(result, p)
-        if len(result) > term_ceiling:
-            raise BlowupExceededError(f"expansion exceeded {term_ceiling} terms")
+        if len(result) > TERM_CEILING:
+            raise BlowupExceededError(f"expansion exceeded {TERM_CEILING} terms")
     return Anf(n, frozenset(result))
 
 

@@ -74,6 +74,12 @@ def _infer_num_vars(text: str) -> int:
     return max(map(int, digits), default=1)
 
 
+def _check_var_cap(n: int) -> int:
+    if n > MAX_VARS:
+        raise TooLargeError(f"n = {n} exceeds the cap of {MAX_VARS} variables")
+    return n
+
+
 def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput:
     text = _read_input(path)
     if fmt == "auto":
@@ -81,9 +87,7 @@ def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput
     if fmt == "container":
         return FunctionInput.from_json_text(text)
     n = n_override if n_override is not None else _infer_num_vars(text)
-    if n > MAX_VARS:
-        raise TooLargeError(f"n = {n} exceeds the cap of {MAX_VARS} variables")
-    return FunctionInput(parse_anf(text, n))
+    return FunctionInput(parse_anf(text, _check_var_cap(n)))
 
 
 def _load_flat(path: str) -> Flat:
@@ -216,6 +220,10 @@ def _resolve_seed(seed: int | None) -> int:
 def cmd_gen(args) -> int:
     family = args.family
     meta: dict = {"family": family}
+    if family not in ("prop6", "prop6-family"):  # every other family is sized by --n
+        if args.n is None:
+            raise InconsistentError(f"{family} needs --n")
+        _check_var_cap(args.n)
     if family == "majority":
         f = generators.majority(args.n)
     elif family == "all-ones":
@@ -254,13 +262,15 @@ def cmd_oracle(args) -> int:
     func = _load_function(args.file, args.format, args.n)
     g = func.g
     if args.kind == "normality":
-        value, flat = pipeline.brute_force_normality(g, max_vars=args.cap or 8)
+        cap = pipeline.DEFAULT_NORMALITY_CAP if args.cap is None else args.cap
+        value, flat = pipeline.brute_force_normality(g, max_vars=cap)
         report = {"kind": "normality", "normality": value, "flat": flat.to_json_dict()}
         human = [f"normality: {value}", f"flat offset: {flat.offset.to_string()}"] + [
             f"flat basis: {b.to_string()}" for b in flat.basis
         ]
     elif args.kind == "thickness":
-        value = pipeline.brute_force_thickness(g, max_vars=args.cap or 4)
+        cap = pipeline.DEFAULT_THICKNESS_CAP if args.cap is None else args.cap
+        value = pipeline.brute_force_thickness(g, max_vars=cap)
         report = {"kind": "thickness", "thickness": value}
         human = [f"thickness: {value}"]
     else:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anf_core import Anf, evaluate_on_points, flat_points_matrix
+from .anf_core import MAX_VARS, Anf, evaluate_on_points, flat_points_matrix
 from .errors import InconsistentError, TooLargeError
 from .f2_linalg import BitVec, Flat, insert_independent, random_bits
 from .generators import sample_degree3_with_rng
@@ -44,10 +44,11 @@ def stable_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if total <= 0:
         raise InconsistentError("interval needs at least one observation")
+    z = Z95
     p = successes / total
     denom = 1.0 + z * z / total
     center = (p + z * z / (2 * total)) / denom
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise InconsistentError("trials must be at least 1")
         if self.n < 3:
             raise InconsistentError("need at least 3 variables")
+        if self.n > MAX_VARS:
+            raise TooLargeError(f"n = {self.n} exceeds the cap of {MAX_VARS} variables")
         needs_s = self.kind != KIND_SAMPLER or self.family == "rand3-sparse"
         if needs_s:
             if self.s is None:

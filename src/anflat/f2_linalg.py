@@ -327,10 +327,6 @@ def random_bits(n: int, rng: np.random.Generator) -> int:
     return raw & ((1 << n) - 1)
 
 
-def random_bitvec(n: int, rng: np.random.Generator) -> BitVec:
-    return BitVec(n, random_bits(n, rng))
-
-
 def random_invertible_matrix(n: int, rng: np.random.Generator) -> BitMatrix:
     """Uniform invertible matrix by rejection over uniform matrices.
 
@@ -344,4 +340,4 @@ def random_invertible_matrix(n: int, rng: np.random.Generator) -> BitMatrix:
 
 
 def random_affine_map(n: int, rng: np.random.Generator) -> AffineMap:
-    return AffineMap(random_invertible_matrix(n, rng), random_bitvec(n, rng))
+    return AffineMap(random_invertible_matrix(n, rng), BitVec(n, random_bits(n, rng)))

@@ -14,7 +14,7 @@ from .anf_core import Anf, TruthTable, truth_table_to_anf, DEFAULT_TABLE_CAP
 from .errors import InconsistentError, TooLargeError
 
 
-def majority(n: int, max_vars: int = DEFAULT_TABLE_CAP) -> Anf:
+def majority(n: int) -> Anf:
     """ANF of the threshold function: 1 iff at least half the inputs are 1.
 
     "At least half" is read as popcount >= n/2, so for even n the
@@ -22,12 +22,12 @@ def majority(n: int, max_vars: int = DEFAULT_TABLE_CAP) -> Anf:
     """
     if n < 1:
         raise InconsistentError("majority needs at least one variable")
-    if n > max_vars:
-        raise TooLargeError(f"n = {n} exceeds table cap {max_vars}")
+    if n > DEFAULT_TABLE_CAP:
+        raise TooLargeError(f"n = {n} exceeds table cap {DEFAULT_TABLE_CAP}")
     threshold = (n + 1) // 2
     xs = np.arange(1 << n, dtype=np.uint64)
     values = (np.bitwise_count(xs) >= threshold).astype(np.uint8)
-    return truth_table_to_anf(TruthTable(n, values), max_vars=max_vars)
+    return truth_table_to_anf(TruthTable(n, values))
 
 
 def all_ones_indicator(n: int) -> Anf:

@@ -155,15 +155,25 @@ def _check_constant(
     count: int,
     kind: str,
     samples: Optional[int] = None,
+    reference: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> Verdict:
-    """Constant if every evaluated point agrees with point 0, else a witness pair."""
+    """Constant if every evaluated point equals the reference (default: point 0).
+
+    Otherwise the witness is the first point equal to the reference and the
+    first that differs, or the differing point alone when none is equal.
+    """
     values = view.values(indices, zcols, count)
-    first = int(values[0])
-    diff = np.flatnonzero(values != first)
+    if reference is None:
+        reference = int(values[0])
+    diff = np.flatnonzero(values != reference)
     if diff.size == 0:
-        return Verdict(kind=kind, value=first, samples=samples)
-    witness = (view.flat.point_at(0), view.point(indices, zcols, int(diff[0])))
-    return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness, samples=samples)
+        return Verdict(kind=kind, value=reference, samples=samples, seed=seed)
+    witness = (view.point(indices, zcols, int(diff[0])),)
+    same = np.flatnonzero(values == reference)
+    if same.size:
+        witness = (view.point(indices, zcols, int(same[0])),) + witness
+    return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness, samples=samples, seed=seed)
 
 
 def verify_flat(
@@ -219,28 +229,18 @@ def verify_flat(
     rng = np.random.Generator(np.random.PCG64(seed))
     # flat-coordinate bits of all samples, packed along the point axis
     zcols = rng.integers(0, 256, size=((sample_cap + 7) // 8, k), dtype=np.uint8)
-    values = view.values(range(k), zcols, sample_cap)
-    reference = claimed if claimed is not None else int(values[0])
-    diff = np.flatnonzero(values != reference)
-    if diff.size == 0:
-        return Verdict(
-            kind=VERDICT_SAMPLED_OK, value=reference, samples=sample_cap, seed=seed
-        )
-    same = np.flatnonzero(values == reference)
-    bad_point = view.point(range(k), zcols, int(diff[0]))
-    if same.size == 0:
-        # every sample disagrees with the claim; two equal samples are no
-        # witness pair, so report the claim failure with a single point
-        return Verdict(
-            kind=VERDICT_NOT_CONSTANT, witness=(bad_point,), samples=sample_cap, seed=seed
-        )
-    good_point = view.point(range(k), zcols, int(same[0]))
-    return Verdict(
-        kind=VERDICT_NOT_CONSTANT,
-        witness=(good_point, bad_point),
-        samples=sample_cap,
-        seed=seed,
+    return _check_constant(
+        view, range(k), zcols, sample_cap, VERDICT_SAMPLED_OK,
+        samples=sample_cap, reference=claimed, seed=seed,
     )
+
+
+# the verdicts find_constant_flat accepts, and the report mode each becomes
+_REPORT_MODES = {
+    VERDICT_CONSTANT: "exhaustive",
+    VERDICT_CONSTANT_LOW_DEGREE: "low_degree",
+    VERDICT_SAMPLED_OK: "sampled",
+}
 
 
 def guaranteed_dimension(n: int, epsilon: float) -> float:
@@ -265,14 +265,10 @@ class FlatReport:
     verification: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "dimension": self.flat.dimension,
-            "constant": self.constant,
-            "offset": self.flat.offset.to_string(),
-            "basis": [b.to_string() for b in self.flat.basis],
-            "trace": self.trace.to_json_list(),
-            "dickson": self.dickson.to_json_dict(),
-        }
+        out = self.flat.to_json_dict()
+        out["constant"] = self.constant
+        out["trace"] = self.trace.to_json_list()
+        out["dickson"] = self.dickson.to_json_dict()
         if self.bound_epsilon is not None:
             out["epsilon"] = self.bound_epsilon
             out["guaranteed_dim"] = self.guaranteed_dim
@@ -285,7 +281,6 @@ def find_constant_flat(
     func: FunctionInput,
     epsilon: Optional[float] = None,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
-    verify_seed: int = DEFAULT_VERIFY_SEED,
 ) -> FlatReport:
     """Find and verify a flat on which the represented function f is constant.
 
@@ -313,22 +308,13 @@ def find_constant_flat(
     flat_g = Flat(n, scatter(flat_alive.offset), tuple(scatter(b) for b in flat_alive.basis))
     flat = flat_g if func.bijection is None else flat_g.map_through(func.bijection)
 
-    verdict = verify_flat(func, flat, constant, sample_cap=sample_cap, seed=verify_seed)
-    if verdict.kind == VERDICT_CONSTANT:
-        verification = {"mode": "exhaustive", "value": verdict.value}
-    elif verdict.kind == VERDICT_CONSTANT_LOW_DEGREE:
-        verification = {"mode": "low_degree", "value": verdict.value, "points": verdict.samples}
-    elif verdict.kind == VERDICT_SAMPLED_OK:
-        verification = {
-            "mode": "sampled",
-            "value": verdict.value,
-            "samples": verdict.samples,
-            "seed": verdict.seed,
-        }
-    else:
+    verdict = verify_flat(func, flat, constant, sample_cap=sample_cap)
+    if verdict.kind not in _REPORT_MODES:
         raise VerificationError("constructed flat failed verification")
     if verdict.value != constant:
         raise VerificationError("flat is constant with an unexpected value")
+    verification = verdict.to_json_dict()
+    verification["mode"] = _REPORT_MODES[verification.pop("verdict")]
 
     report = FlatReport(
         flat=flat,

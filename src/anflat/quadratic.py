@@ -11,10 +11,12 @@ instead use t for the number of pairs). The construction:
 
 1. Collect the degree-2 coefficients into the symmetric zero-diagonal
    matrix B of the associated bilinear form f(x+y)+f(x)+f(y)+f(0).
-2. Symplectic elimination: take the first basis vector with a nonzero
-   B-row, pair it with the first partner it hits, and project the rest of
-   the basis onto the B-orthogonal complement of the pair. Vectors whose
-   row dies become the radical basis.
+2. Symplectic elimination: take the first basis vector u. If B u = 0 it
+   joins the radical basis; otherwise pair it with the first later vector
+   w with u^T B w = 1 and project the rest of the basis onto the
+   B-orthogonal complement of the pair. Each basis vector carries its
+   image B w, so every form value is one parity and the projection
+   updates vector and image together (docs/design-notes.md).
 3. In the new coordinates z (columns ordered pair after pair, radical
    last) the function is sum z_{2i-1} z_{2i} plus an affine part. Each
    pair absorbs its linear coefficients via
@@ -84,14 +86,6 @@ def _bilinear_rows(f: Anf) -> list[int]:
     return rows
 
 
-def _bform(rows: list[int], u: int, v: int) -> int:
-    """u^T B v over GF(2) for vectors packed as ints."""
-    acc = 0
-    for j in bit_indices(u):
-        acc ^= parity(rows[j] & v)
-    return acc
-
-
 def dickson_decompose(f: Anf) -> DicksonForm:
     """Canonical form of a degree <= 2 function; raises DegreeTooHighError.
 
@@ -104,29 +98,26 @@ def dickson_decompose(f: Anf) -> DicksonForm:
     rows = _bilinear_rows(f)
     c0 = 1 if 0 in f.terms else 0
 
-    basis = [1 << i for i in range(n)]
+    # each basis entry is (w, B w), so u^T B w = parity(B u & w)
+    basis = [(1 << i, rows[i]) for i in range(n)]
     pairs: list[tuple[int, int]] = []
     radical: list[int] = []
     while basis:
-        u = basis[0]
-        partner = None
-        for j in range(1, len(basis)):
-            if _bform(rows, u, basis[j]):
-                partner = j
-                break
-        if partner is None:
-            radical.append(basis.pop(0))
+        u, bu = basis.pop(0)
+        if not bu:
+            radical.append(u)
             continue
-        v = basis.pop(partner)
-        basis.pop(0)
-        for idx, w in enumerate(basis):
-            coeff_u = _bform(rows, w, v)
-            coeff_v = _bform(rows, w, u)
+        partner = next((j for j, (w, _) in enumerate(basis) if parity(bu & w)), None)
+        if partner is None:
+            raise VerificationError("B u is nonzero but u has no partner; decomposition bug")
+        v, bv = basis.pop(partner)
+        for idx, (w, bw) in enumerate(basis):
+            coeff_u, coeff_v = parity(bv & w), parity(bu & w)
             if coeff_u:
-                w ^= u
+                w, bw = w ^ u, bw ^ bu
             if coeff_v:
-                w ^= v
-            basis[idx] = w
+                w, bw = w ^ v, bw ^ bv
+            basis[idx] = (w, bw)
         pairs.append((u, v))
 
     t = 2 * len(pairs)

@@ -70,7 +70,6 @@ class RestrictionState:
     """Working state of a greedy run; owned and mutated by a single caller."""
 
     def __init__(self, f: Anf):
-        self.original = f
         self.num_vars = f.num_vars
         self.trace = RestrictionTrace()
         self._terms: set[int] = set(f.terms)

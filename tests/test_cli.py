@@ -267,6 +267,16 @@ def test_oracle_cap_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_oracle_cap_zero_is_honoured(capsys, tmp_path):
+    small = tmp_path / "q.anf"
+    small.write_text("x1*x2\n")
+    for kind in ("normality", "thickness"):
+        code, _, err = run_cli(capsys, "oracle", kind, "--cap", "0", str(small))
+        assert code == 2 and err.startswith("error:") and "cap 0" in err
+        code, _, _ = run_cli(capsys, "oracle", kind, "--cap", "2", str(small))
+        assert code == 0
+
+
 def test_experiment_json_schema_and_determinism(capsys, tmp_path):
     args = (
         "experiment",
@@ -465,6 +475,19 @@ def _address_space_cap():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def run_capped(argv):
+    """The CLI in a subprocess under a 2 GB address space and a 60 s timeout."""
+    src = Path(anflat.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "anflat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_address_space_cap,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "text, extra",
     [
@@ -481,17 +504,34 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
     """Inputs past the variable cap end with exit 2, under a 2 GB address space."""
     bad = tmp_path / "bad.txt"
     bad.write_text(text, encoding="utf-8")
-    src = Path(anflat.__file__).resolve().parent.parent
     for argv in (["find-flat", str(bad), *extra], ["convert", str(bad), "--from", "anf",
                                                     "--to", "anf", *extra]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "anflat.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            preexec_fn=_address_space_cap,
-            timeout=60,
-        )
+        proc = run_capped(argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["gen", "majority"], "needs --n", id="majority-no-n"),
+        pytest.param(["gen", "all-ones"], "needs --n", id="all-ones-no-n"),
+        pytest.param(["gen", "complete3"], "needs --n", id="complete3-no-n"),
+        pytest.param(["gen", "rand3-half"], "needs --n", id="rand3-half-no-n"),
+        pytest.param(["gen", "rand3-sparse", "--s", "2.5", "--seed", "1"], "needs --n",
+                     id="rand3-sparse-no-n"),
+        pytest.param(["gen", "complete3", "--n", "100000"], "cap", id="complete3-n-beyond-cap"),
+        pytest.param(["gen", "rand3-half", "--n", "100000", "--seed", "1"], "cap",
+                     id="rand3-half-n-beyond-cap"),
+        pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "100000",
+                      "--trials", "1", "--master-seed", "1"], "cap",
+                     id="sampler-stats-n-beyond-cap"),
+    ],
+)
+def test_generator_size_exit_2_without_traceback(argv, message):
+    """A family without --n, or with n past the variable cap, ends with exit 2."""
+    proc = run_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr

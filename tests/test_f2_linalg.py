@@ -14,7 +14,7 @@ from anflat.f2_linalg import (
     insert_independent,
     invert,
     random_affine_map,
-    random_bitvec,
+    random_bits,
     random_invertible_matrix,
     rank,
 )
@@ -34,7 +34,7 @@ def test_bitvec_string_roundtrip_random_and_short(rng):
     assert BitVec(1, 1).to_string() == "1" and BitVec(1).to_string() == "0"
     for length in (0, 1, 2, 7, 8, 9, 64, 1000):
         for _ in range(5):
-            v = random_bitvec(length, rng)
+            v = BitVec(length, random_bits(length, rng))
             text = v.to_string()
             assert text == "".join(str(v.bit(j)) for j in range(length))
             assert BitVec.from_string(text) == v
@@ -107,7 +107,7 @@ def test_compose_identity_and_inverse(rng):
         assert inv.matrix == a.inverse_matrix
         assert a.matrix.matmul(a.inverse_matrix) == BitMatrix.identity(n)
         for _ in range(10):
-            x = random_bitvec(n, rng)
+            x = BitVec(n, random_bits(n, rng))
             assert inv.apply(a.apply(x)) == x
             assert a.apply(inv.apply(x)) == x
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from anflat.anf_core import anf_to_truth_table, parse_anf
+from anflat.anf_core import DEFAULT_TABLE_CAP, Anf, anf_to_truth_table, parse_anf
 from anflat.errors import InconsistentError, TooLargeError
 from anflat.generators import (
     Degree3SamplerConfig,
@@ -34,7 +34,7 @@ def test_majority_agrees_with_threshold_definition():
 
 def test_majority_caps():
     with pytest.raises(TooLargeError):
-        majority(7, max_vars=6)
+        majority(DEFAULT_TABLE_CAP + 1)
     with pytest.raises(InconsistentError):
         majority(0)
 
@@ -84,7 +84,7 @@ def test_complete_degree3():
     assert complete_degree3(4).sparsity() == 4
     f = complete_degree3(6)
     # any 0-restriction to k alive variables keeps all C(k, 3) terms
-    g = f.substitute_zero(1).substitute_zero(4)
+    g = Anf(6, frozenset(m for m in f.terms if not m & 0b1001))  # x1 = x4 = 0
     assert g.crucial_count() == math.comb(4, 3)
     with pytest.raises(InconsistentError):
         complete_degree3(2)

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from anflat.anf_core import (
@@ -15,6 +16,7 @@ from anflat.experiments import random_flat
 from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
 from anflat.generators import prop6_base, random_degree3_half
 from anflat.pipeline import (
+    DEFAULT_VERIFY_SEED,
     _invertible_matrices,
     VERDICT_CONSTANT,
     VERDICT_CONSTANT_LOW_DEGREE,
@@ -168,6 +170,50 @@ def test_verify_flat_sampled_mode(rng):
     assert ball_size(func, full) > 512
     v = verify_flat(func, full, sample_cap=512)
     assert v.kind == VERDICT_NOT_CONSTANT and v.seed is not None
+
+
+def expected_sampled_verdict(func: FunctionInput, flat: Flat, cap: int, claimed):
+    """(kind, value, witness) of the sampled check, rebuilt from its seeded draws.
+
+    Sample i is the flat point whose basis combination is bit 7 - i % 8 of
+    byte i // 8 of each drawn column; its value comes from the slow evaluator.
+    """
+    rng = np.random.Generator(np.random.PCG64(DEFAULT_VERIFY_SEED))
+    zcols = rng.integers(0, 256, size=((cap + 7) // 8, flat.dimension), dtype=np.uint8)
+    combos = np.unpackbits(zcols, axis=0)[:cap]
+    points = [flat.point_at(sum(1 << int(j) for j in np.flatnonzero(c))) for c in combos]
+    inverse = None if func.bijection is None else func.bijection.inverse()
+    values = [
+        slow_evaluate(func.g, (p if inverse is None else inverse.apply(p)).bits) for p in points
+    ]
+    reference = values[0] if claimed is None else claimed
+    same = [p for p, v in zip(points, values) if v == reference]
+    differ = [p for p, v in zip(points, values) if v != reference]
+    if not differ:
+        return VERDICT_SAMPLED_OK, reference, None
+    return VERDICT_NOT_CONSTANT, None, (same[0], differ[0]) if same else (differ[0],)
+
+
+def test_verify_flat_sampled_witness_shapes(rng):
+    """sampled_ok, a (good, bad) pair, and a lone bad point when no sample matches the claim."""
+    n, cap = 12, 64
+    # every term holds x1, so f = 0 on x1 = 0, and the terms cover all 12 variables
+    g = Anf(n, frozenset(1 | (1 << a) | (1 << b) for a, b in combinations(range(1, n), 2)
+                         if (a + b) % 3 == 0))
+    zero_flat = Flat(n, BitVec(n), tuple(BitVec(n, 1 << i) for i in range(1, n)))
+    full = Flat(n, BitVec(n), tuple(BitVec(n, 1 << i) for i in range(n)))
+    cases = [(FunctionInput(g), zero_flat, claimed) for claimed in (None, 0, 1)]
+    cases += [(FunctionInput(g), full, claimed) for claimed in (None, 0, 1)]
+    bijection = random_affine_map(n, rng)
+    cases += [(FunctionInput(g, bijection), zero_flat.map_through(bijection), c) for c in (0, 1)]
+    shapes = set()
+    for func, flat, claimed in cases:
+        assert ball_size(func, flat) > cap and 1 << flat.dimension > cap
+        v = verify_flat(func, flat, claimed=claimed, sample_cap=cap)
+        assert (v.kind, v.value, v.witness) == expected_sampled_verdict(func, flat, cap, claimed)
+        assert v.samples == cap and v.seed == DEFAULT_VERIFY_SEED
+        shapes.add(v.kind if v.witness is None else len(v.witness))
+    assert shapes == {VERDICT_SAMPLED_OK, 1, 2}
 
 
 def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):

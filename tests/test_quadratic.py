@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from anflat.anf_core import Anf, compose_affine, parse_anf
@@ -138,3 +141,21 @@ def test_flat_from_dickson_matches_brute_force(rng):
         assert flat.dimension == n - len(fixed)
         assert {p.bits for p in flat.points()} == expected
         assert {f.evaluate(BitVec(n, x)) for x in expected} == {c}
+
+
+def test_dickson_and_flat_match_golden():
+    """Every quadratic on n = 1..3, seeded random_quadratic shapes at n = 4..12, and
+    some of both padded with unused variables at sorted random positions.
+
+    The file was recorded with the partner scan that evaluated u^T B w term by
+    term; the decomposition by B-images must reproduce it exactly.
+    """
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "dickson.json"
+    cases = json.loads(golden.read_text())
+    assert len(cases) == 197
+    for case in cases:
+        d = dickson_decompose(parse_anf(case["anf"], case["n"]))
+        flat, constant = flat_from_dickson(d)
+        assert d.to_json_dict() == case["dickson"], case["anf"]
+        assert flat.to_json_dict() == case["flat"], case["anf"]
+        assert constant == case["constant"], case["anf"]
