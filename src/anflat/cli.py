@@ -231,6 +231,7 @@ def cmd_gen(args) -> int:
     elif family == "prop6":
         f = generators.prop6_base()
     elif family == "prop6-family":
+        _check_var_cap(30 * args.m)  # prop6_family(m) has n = 30m
         f = generators.prop6_family(args.m)
         meta["m"] = args.m
     elif family == "complete3":
@@ -262,15 +263,13 @@ def cmd_oracle(args) -> int:
     func = _load_function(args.file, args.format, args.n)
     g = func.g
     if args.kind == "normality":
-        cap = pipeline.DEFAULT_NORMALITY_CAP if args.cap is None else args.cap
-        value, flat = pipeline.brute_force_normality(g, max_vars=cap)
+        value, flat = pipeline.brute_force_normality(g)
         report = {"kind": "normality", "normality": value, "flat": flat.to_json_dict()}
         human = [f"normality: {value}", f"flat offset: {flat.offset.to_string()}"] + [
             f"flat basis: {b.to_string()}" for b in flat.basis
         ]
     elif args.kind == "thickness":
-        cap = pipeline.DEFAULT_THICKNESS_CAP if args.cap is None else args.cap
-        value = pipeline.brute_force_thickness(g, max_vars=cap)
+        value = pipeline.brute_force_thickness(g)
         report = {"kind": "thickness", "thickness": value}
         human = [f"thickness: {value}"]
     else:
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_input_args(p)
     p.add_argument("--budget", type=int, default=None, help="hitting-set size budget")
     p.add_argument("--node-limit", type=int, default=1_000_000)
-    p.add_argument("--cap", type=int, default=None, help="override the size cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 

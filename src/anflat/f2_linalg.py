@@ -142,17 +142,6 @@ class BitMatrix:
             bits |= parity(r & v.bits) << i
         return BitVec(self.rows, bits)
 
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("matrix/matrix dimension mismatch")
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            for j in bit_indices(r):
-                acc ^= other.row_bits[j]
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
-
 
 def insert_independent(reduced: dict[int, int], v: int) -> bool:
     """XOR-basis insertion: whether v is independent of the vectors in reduced.

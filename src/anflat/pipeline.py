@@ -329,7 +329,7 @@ def find_constant_flat(
     return report
 
 
-def brute_force_normality(f: Anf, max_vars: int = DEFAULT_NORMALITY_CAP) -> tuple[int, Flat]:
+def brute_force_normality(f: Anf) -> tuple[int, Flat]:
     """Exact largest flat dimension on which f is constant, with a witness.
 
     Enumerates every flat of F2^n, highest dimension first, via reduced
@@ -339,8 +339,8 @@ def brute_force_normality(f: Anf, max_vars: int = DEFAULT_NORMALITY_CAP) -> tupl
     the result is deterministic. Constant functions report n.
     """
     n = f.num_vars
-    if n > max_vars:
-        raise TooLargeError(f"n = {n} exceeds normality cap {max_vars}")
+    if n > DEFAULT_NORMALITY_CAP:
+        raise TooLargeError(f"n = {n} exceeds normality cap {DEFAULT_NORMALITY_CAP}")
     table = anf_to_truth_table(f).values
     full_basis = tuple(BitVec(n, 1 << i) for i in range(n))
     if int(table.min()) == int(table.max()):
@@ -392,20 +392,20 @@ def _first_constant_flat(table: np.ndarray, n: int, k: int):
     return None
 
 
-def brute_force_thickness(f: Anf, max_vars: int = DEFAULT_THICKNESS_CAP) -> int:
+def brute_force_thickness(f: Anf) -> int:
     """Exact minimum sparsity over every affine bijection of the inputs.
 
     Enumerates all of GL(n, 2) times all offsets; each matrix costs one
     truth-table permutation plus a batched XOR transform over the offsets.
-    Feasible only for tiny n (the default cap is 4, about 3.2e5 maps).
+    Feasible only for tiny n (the cap is 4, about 3.2e5 maps).
     Stops early once a sparsity of 1 is reached, the minimum for any
     nonzero function.
     """
     from .anf_core import _xor_butterfly
 
     n = f.num_vars
-    if n > max_vars:
-        raise TooLargeError(f"n = {n} exceeds thickness cap {max_vars}")
+    if n > DEFAULT_THICKNESS_CAP:
+        raise TooLargeError(f"n = {n} exceeds thickness cap {DEFAULT_THICKNESS_CAP}")
     table = anf_to_truth_table(f).values
     if not table.any():
         return 0

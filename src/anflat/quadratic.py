@@ -17,15 +17,15 @@ instead use t for the number of pairs). The construction:
    B-orthogonal complement of the pair. Each basis vector carries its
    image B w, so every form value is one parity and the projection
    updates vector and image together (docs/design-notes.md).
-3. In the new coordinates z (columns ordered pair after pair, radical
-   last) the function is sum z_{2i-1} z_{2i} plus an affine part. Each
+3. In the new coordinates z = P^-1 x (the columns of P are the pairs in
+   order, radical last) the function is sum z_{2i-1} z_{2i} plus an
+   affine part. The rows of P^-1 come out of step 2: B v and B u for a
+   pair (u, v), and the unit row at the top bit of a radical vector. Each
    pair absorbs its linear coefficients via
    z_u z_v + a z_u + b z_v = (z_u + b)(z_v + a) + a*b.
 4. The leftover affine part lives on the radical. If it is nonconstant it
    becomes y_{t+1} (type II, constant absorbed by translating y_{t+1});
    otherwise the accumulated constant is c (type I).
-
-Every step is GF(2) elimination, so the whole decomposition is O(n^3).
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .f2_linalg import (
     BitVec,
     Flat,
     bit_indices,
-    invert,
     parity,
 )
 
@@ -102,10 +101,14 @@ def dickson_decompose(f: Anf) -> DicksonForm:
     basis = [(1 << i, rows[i]) for i in range(n)]
     pairs: list[tuple[int, int]] = []
     radical: list[int] = []
+    # rows of P^-1, read off as the elimination runs (docs/design-notes.md)
+    pair_rows: list[int] = []
+    radical_rows: list[int] = []
     while basis:
         u, bu = basis.pop(0)
         if not bu:
             radical.append(u)
+            radical_rows.append(1 << (u.bit_length() - 1))
             continue
         partner = next((j for j, (w, _) in enumerate(basis) if parity(bu & w)), None)
         if partner is None:
@@ -119,14 +122,10 @@ def dickson_decompose(f: Anf) -> DicksonForm:
                 w, bw = w ^ v, bw ^ bv
             basis[idx] = (w, bw)
         pairs.append((u, v))
+        pair_rows += [bv, bu]
 
     t = 2 * len(pairs)
     columns = [vec for pair in pairs for vec in pair] + radical
-    p_rows = [0] * n
-    for m, col in enumerate(columns):
-        for i in bit_indices(col):
-            p_rows[i] |= 1 << m
-    p_matrix = BitMatrix(n, n, tuple(p_rows))
 
     # linear coefficient of z_m in f(P z): value of f minus its constant at column m
     lam = [f.evaluate(BitVec(n, col)) ^ c0 for col in columns]
@@ -141,25 +140,22 @@ def dickson_decompose(f: Anf) -> DicksonForm:
         const ^= a & b
 
     radical_lams = lam[t:]
-    r_rows = [1 << i for i in range(n)]
     if any(radical_lams):
         form_type = "II"
+        # y_{t+1} is the sum of the radical coordinates with lambda = 1; the
+        # other radical coordinates follow in order
         tail_row = 0
-        for m, bit in enumerate(radical_lams):
+        for row, bit in zip(radical_rows, radical_lams):
             if bit:
-                tail_row |= 1 << (t + m)
-        star = t + radical_lams.index(1)
-        r_rows[t] = tail_row
+                tail_row |= row
+        star = radical_lams.index(1)
+        radical_rows = [tail_row] + radical_rows[:star] + radical_rows[star + 1:]
         # the residual constant is absorbed by translating y_{t+1}
         offset_bits |= const << t
-        fill = [t + m for m, _ in enumerate(radical_lams) if t + m != star]
-        for slot, src in zip(range(t + 1, n), fill):
-            r_rows[slot] = 1 << src
     else:
         form_type = "I"
 
-    r_matrix = BitMatrix(n, n, tuple(r_rows))
-    a_matrix = r_matrix.matmul(invert(p_matrix))
+    a_matrix = BitMatrix(n, n, tuple(pair_rows + radical_rows))
     form = DicksonForm(
         t=t,
         form_type=form_type,

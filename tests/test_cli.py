@@ -267,16 +267,6 @@ def test_oracle_cap_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_oracle_cap_zero_is_honoured(capsys, tmp_path):
-    small = tmp_path / "q.anf"
-    small.write_text("x1*x2\n")
-    for kind in ("normality", "thickness"):
-        code, _, err = run_cli(capsys, "oracle", kind, "--cap", "0", str(small))
-        assert code == 2 and err.startswith("error:") and "cap 0" in err
-        code, _, _ = run_cli(capsys, "oracle", kind, "--cap", "2", str(small))
-        assert code == 0
-
-
 def test_experiment_json_schema_and_determinism(capsys, tmp_path):
     args = (
         "experiment",
@@ -524,6 +514,9 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
         pytest.param(["gen", "complete3", "--n", "100000"], "cap", id="complete3-n-beyond-cap"),
         pytest.param(["gen", "rand3-half", "--n", "100000", "--seed", "1"], "cap",
                      id="rand3-half-n-beyond-cap"),
+        pytest.param(["gen", "prop6-family", "--m", "200"], "cap", id="prop6-family-m-beyond-cap"),
+        pytest.param(["gen", "prop6-family", "--m", "100000000"], "cap",
+                     id="prop6-family-m-huge"),
         pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "100000",
                       "--trials", "1", "--master-seed", "1"], "cap",
                      id="sampler-stats-n-beyond-cap"),
@@ -534,4 +527,21 @@ def test_generator_size_exit_2_without_traceback(argv, message):
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        pytest.param("thickness", 5, id="thickness-n5"),
+        pytest.param("normality", 9, id="normality-n9"),
+    ],
+)
+def test_oracle_over_cap_exit_2_without_traceback(tmp_path, kind, n):
+    """One variable past an oracle's fixed cap is refused at once, not enumerated."""
+    path = tmp_path / "f.anf"
+    path.write_text(f"x1*x{n}\n")
+    proc = run_capped(["oracle", kind, str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "cap" in proc.stderr
     assert "Traceback" not in proc.stderr

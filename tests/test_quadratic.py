@@ -159,3 +159,22 @@ def test_dickson_and_flat_match_golden():
         assert d.to_json_dict() == case["dickson"], case["anf"]
         assert flat.to_json_dict() == case["flat"], case["anf"]
         assert constant == case["constant"], case["anf"]
+
+
+def test_dickson_eliminates_once(rng, monkeypatch):
+    """P^-1 is read off the symplectic elimination, so the only Gauss-Jordan
+    left is the invertibility check of the resulting AffineMap."""
+    import anflat.f2_linalg as f2
+    import anflat.quadratic as quadratic
+
+    real_invert = f2.invert
+    calls = []
+
+    def counting_invert(m):
+        calls.append(m.rows)
+        return real_invert(m)
+
+    monkeypatch.setattr(f2, "invert", counting_invert)
+    monkeypatch.setattr(quadratic, "invert", counting_invert, raising=False)
+    dickson_decompose(random_quadratic(64, rng))
+    assert calls == [64]
