@@ -10,7 +10,6 @@ from .anf_core import (
     FunctionInput,
     TruthTable,
     anf_to_truth_table,
-    compose_affine,
     format_anf,
     parse_anf,
     truth_table_to_anf,
@@ -44,7 +43,6 @@ __all__ = [
     "UntilCrucialAtMostThirdOfAlive",
     "UntilNoCrucial",
     "anf_to_truth_table",
-    "compose_affine",
     "dickson_decompose",
     "exhaustive_hitting_set",
     "find_constant_flat",

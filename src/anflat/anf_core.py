@@ -1,4 +1,4 @@
-"""Multilinear GF(2) polynomials: parsing, evaluation, transforms, composition.
+"""Multilinear GF(2) polynomials: parsing, evaluation, transforms, reindexing.
 
 An Anf stores its monomials as bitmasks (bit j corresponds to x_{j+1}), so
 a term set is a frozenset of ints and substitution is mask arithmetic. The
@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     AnfSyntaxError,
-    BlowupExceededError,
     DimensionMismatchError,
     IndexOutOfRangeError,
     InconsistentError,
@@ -22,7 +21,6 @@ from .errors import (
 from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_json
 
 DEFAULT_TABLE_CAP = 24
-TERM_CEILING = 1 << 22
 MAX_VARS = 4096  # most variables an input may declare or index
 MAX_INDEX_DIGITS = len(str(MAX_VARS))
 
@@ -229,8 +227,8 @@ class TruthTable:
         return cls(n, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
 
 
-def _xor_butterfly(values: np.ndarray, n: int) -> np.ndarray:
-    """The subset-sum XOR transform; self-inverse over GF(2)."""
+def xor_transform(values: np.ndarray, n: int) -> np.ndarray:
+    """The subset-sum XOR transform along the last axis (length 2^n); self-inverse."""
     out = values.copy()
     for i in range(n):
         step = 1 << i
@@ -243,7 +241,7 @@ def truth_table_to_anf(tt: TruthTable) -> Anf:
     """Unique ANF agreeing with the table everywhere; O(n 2^n)."""
     if tt.num_vars > DEFAULT_TABLE_CAP:
         raise TooLargeError(f"n = {tt.num_vars} exceeds table cap {DEFAULT_TABLE_CAP}")
-    coeffs = _xor_butterfly(tt.values, tt.num_vars)
+    coeffs = xor_transform(tt.values, tt.num_vars)
     return Anf(tt.num_vars, frozenset(int(i) for i in np.nonzero(coeffs)[0]))
 
 
@@ -253,7 +251,7 @@ def anf_to_truth_table(f: Anf) -> TruthTable:
     coeffs = np.zeros(1 << f.num_vars, dtype=np.uint8)
     for m in f.terms:
         coeffs[m] = 1
-    return TruthTable(f.num_vars, _xor_butterfly(coeffs, f.num_vars))
+    return TruthTable(f.num_vars, xor_transform(coeffs, f.num_vars))
 
 
 def evaluate_packed_columns(f: Anf, packed: np.ndarray) -> np.ndarray:
@@ -311,46 +309,6 @@ def flat_points_matrix(flat: Flat) -> np.ndarray:
         out[size : 2 * size] = out[:size] ^ row
         size *= 2
     return out
-
-
-def compose_affine(f: Anf, a: AffineMap) -> Anf:
-    """ANF of x -> f(a(x)), by expanding each monomial's product of forms.
-
-    Every x_i inside a monomial becomes the affine form given by row i of
-    the matrix plus the offset bit; products are expanded term by term with
-    eager GF(2) cancellation. Worst-case growth is exponential and guarded
-    by TERM_CEILING.
-    """
-    if a.dimension != f.num_vars:
-        raise DimensionMismatchError("map dimension does not match variable count")
-    n = f.num_vars
-    forms = [(a.matrix.row_bits[i], a.offset.bit(i)) for i in range(n)]
-    result: set[int] = set()
-    for term in f.terms:
-        partial: set[int] = {0}
-        for i in bit_indices(term):
-            row, const = forms[i]
-            nxt: set[int] = set()
-            for p in partial:
-                if const:
-                    _toggle(nxt, p)
-                for j in bit_indices(row):
-                    _toggle(nxt, p | (1 << j))
-            if len(nxt) > TERM_CEILING:
-                raise BlowupExceededError(f"expansion exceeded {TERM_CEILING} terms")
-            partial = nxt
-        for p in partial:
-            _toggle(result, p)
-        if len(result) > TERM_CEILING:
-            raise BlowupExceededError(f"expansion exceeded {TERM_CEILING} terms")
-    return Anf(n, frozenset(result))
-
-
-def _toggle(s: set[int], m: int) -> None:
-    if m in s:
-        s.remove(m)
-    else:
-        s.add(m)
 
 
 def reindex(f: Anf, alive: list[int]) -> Anf:

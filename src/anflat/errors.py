@@ -32,10 +32,6 @@ class TooLargeError(AnflatError):
     """Input exceeds the configured size cap for an exhaustive routine."""
 
 
-class BlowupExceededError(AnflatError):
-    """Symbolic expansion crossed the term-count ceiling."""
-
-
 class NoCrucialTermsError(AnflatError):
     """A greedy step was requested but no term of degree >= 3 remains."""
 

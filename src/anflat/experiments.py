@@ -24,7 +24,7 @@ import numpy as np
 from .anf_core import MAX_VARS, Anf, evaluate_on_points, flat_points_matrix
 from .errors import InconsistentError, TooLargeError
 from .f2_linalg import BitVec, Flat, insert_independent, random_bits
-from .generators import sample_degree3_with_rng
+from .generators import inclusion_probability, sample_degree3_with_rng
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -132,10 +132,7 @@ class ExperimentConfig:
             )
 
     def inclusion_probability(self) -> float:
-        p = self.inclusion_scale / (self.n ** (3.0 - self.s))
-        if not 0.0 < p <= 0.5:
-            raise InconsistentError(f"inclusion probability {p} outside (0, 1/2]")
-        return p
+        return inclusion_probability(self.n, self.s, self.inclusion_scale)
 
     def echo(self) -> dict:
         out = {

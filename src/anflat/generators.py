@@ -92,6 +92,14 @@ def random_degree3_half(n: int, seed: int) -> Anf:
     return _sample_degree3(n, 0.5, rng)
 
 
+def inclusion_probability(n: int, s: float, scale: float) -> float:
+    """scale / n^(3-s), the sparse degree-3 inclusion probability, in (0, 1/2]."""
+    p = scale / (n ** (3.0 - s))
+    if not 0.0 < p <= 0.5:
+        raise InconsistentError(f"inclusion probability {p} outside (0, 1/2]")
+    return p
+
+
 @dataclass(frozen=True)
 class Degree3SamplerConfig:
     """Sparse degree-3 sampler: inclusion probability scale / n^(3-s).
@@ -114,10 +122,7 @@ class Degree3SamplerConfig:
             raise InconsistentError(f"s = {self.s} outside [2, 3]")
         if self.n < 3:
             raise InconsistentError("need at least 3 variables")
-        p = self.inclusion_scale / (self.n ** (3.0 - self.s))
-        if not 0.0 < p <= 0.5:
-            raise InconsistentError(f"inclusion probability {p} outside (0, 1/2]")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", inclusion_probability(self.n, self.s, self.inclusion_scale))
 
 
 def random_degree3_sparse(cfg: Degree3SamplerConfig) -> Anf:

@@ -24,6 +24,7 @@ from .anf_core import (
     bitvec_rows,
     evaluate_packed_columns,
     reindex,
+    xor_transform,
 )
 from .errors import (
     DimensionMismatchError,
@@ -401,8 +402,6 @@ def brute_force_thickness(f: Anf) -> int:
     Stops early once a sparsity of 1 is reached, the minimum for any
     nonzero function.
     """
-    from .anf_core import _xor_butterfly
-
     n = f.num_vars
     if n > DEFAULT_THICKNESS_CAP:
         raise TooLargeError(f"n = {n} exceeds thickness cap {DEFAULT_THICKNESS_CAP}")
@@ -419,7 +418,7 @@ def brute_force_thickness(f: Anf) -> int:
             perm |= (np.bitwise_count(xs & row).astype(np.int64) & 1) << i
         # row b of values is the truth table of x -> f(Mx + b)
         values = table[perm[None, :] ^ offsets]
-        coeffs = _xor_butterfly(values, n)
+        coeffs = xor_transform(values, n)
         low = int(coeffs.sum(axis=1).min())
         if low < best:
             best = low

@@ -26,12 +26,15 @@ instead use t for the number of pairs). The construction:
 4. The leftover affine part lives on the radical. If it is nonconstant it
    becomes y_{t+1} (type II, constant absorbed by translating y_{t+1});
    otherwise the accumulated constant is c (type I).
+5. The form is checked against f coefficient by coefficient: quadratic
+   rows, linear part and constant of the canonical shape through
+   y = Ax + b must equal those of f.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anf_core import Anf, compose_affine
+from .anf_core import Anf
 from .errors import DegreeTooHighError, InconsistentError, VerificationError
 from .f2_linalg import (
     AffineMap,
@@ -85,16 +88,27 @@ def _bilinear_rows(f: Anf) -> list[int]:
     return rows
 
 
+def _columns(rows: tuple[int, ...], n: int) -> list[int]:
+    """Column j of the n-column matrix with the given rows, as a bitmask."""
+    columns = [0] * n
+    for i, row in enumerate(rows):
+        for j in bit_indices(row):
+            columns[j] |= 1 << i
+    return columns
+
+
 def dickson_decompose(f: Anf) -> DicksonForm:
     """Canonical form of a degree <= 2 function; raises DegreeTooHighError.
 
-    The result is checked symbolically before returning: recomposing the
-    canonical shape through the change of variables must reproduce f.
+    The result is checked before returning: the canonical shape through
+    the change of variables must have the quadratic, linear and constant
+    coefficients of f (docs/design-notes.md).
     """
     if f.degree() > 2:
         raise DegreeTooHighError(f"degree {f.degree()} > 2")
     n = f.num_vars
     rows = _bilinear_rows(f)
+    lin = sum(m for m in f.terms if m.bit_count() == 1)
     c0 = 1 if 0 in f.terms else 0
 
     # each basis entry is (w, B w), so u^T B w = parity(B u & w)
@@ -127,27 +141,29 @@ def dickson_decompose(f: Anf) -> DicksonForm:
     t = 2 * len(pairs)
     columns = [vec for pair in pairs for vec in pair] + radical
 
-    # linear coefficient of z_m in f(P z): value of f minus its constant at column m
-    lam = [f.evaluate(BitVec(n, col)) ^ c0 for col in columns]
+    # linear coefficient of z_m in f(P z) is f(x) + c0 at x = column m, which
+    # is parity(lin & x) plus parity(upper_i & x) for every i in x
+    upper = [row >> (i + 1) << (i + 1) for i, row in enumerate(rows)]
+    lam = []
+    for col in columns:
+        acc = lin
+        for i in bit_indices(col):
+            acc ^= upper[i]
+        lam.append(parity(acc & col))
 
     offset_bits = 0
     const = c0
-    for k in range(len(pairs)):
-        a = lam[2 * k]      # coefficient of z_{2k+1}
-        b = lam[2 * k + 1]  # coefficient of z_{2k+2}
-        offset_bits |= b << (2 * k)
-        offset_bits |= a << (2 * k + 1)
+    for k in range(0, t, 2):
+        a, b = lam[k], lam[k + 1]  # coefficients of z_{k+1}, z_{k+2}
+        offset_bits |= b << k | a << (k + 1)
         const ^= a & b
 
     radical_lams = lam[t:]
     if any(radical_lams):
         form_type = "II"
         # y_{t+1} is the sum of the radical coordinates with lambda = 1; the
-        # other radical coordinates follow in order
-        tail_row = 0
-        for row, bit in zip(radical_rows, radical_lams):
-            if bit:
-                tail_row |= row
+        # other radical coordinates follow in order (distinct unit rows)
+        tail_row = sum(row for row, bit in zip(radical_rows, radical_lams) if bit)
         star = radical_lams.index(1)
         radical_rows = [tail_row] + radical_rows[:star] + radical_rows[star + 1:]
         # the residual constant is absorbed by translating y_{t+1}
@@ -162,25 +178,38 @@ def dickson_decompose(f: Anf) -> DicksonForm:
         c=const if form_type == "I" else 0,
         map=AffineMap(a_matrix, BitVec(n, offset_bits)),
     )
-
-    recomposed = compose_affine(canonical_anf(form, n), form.map)
-    if recomposed.terms != f.terms:
-        raise VerificationError("recomposition failed; decomposition bug")
+    _check_coefficients(form, rows, lin, c0)
     return form
 
 
-def canonical_anf(d: DicksonForm, n: int) -> Anf:
-    """The ANF sum of y_{2i-1} y_{2i} plus the tail, on variables y_1..y_n."""
-    if n != d.map.dimension:
-        raise InconsistentError(f"form lives on {d.map.dimension} variables, not {n}")
-    masks = []
-    for k in range(d.t // 2):
-        masks.append((1 << (2 * k)) | (1 << (2 * k + 1)))
-    if d.form_type == "II":
-        masks.append(1 << d.t)
-    elif d.c:
-        masks.append(0)
-    return Anf(n, frozenset(masks))
+def _check_coefficients(form: DicksonForm, rows: list[int], lin: int, c0: int) -> None:
+    """Raise VerificationError unless Q(Ax + b) has quadratic rows `rows`,
+    linear mask `lin` and constant c0, where Q is the canonical shape.
+
+    Two quadratics are equal exactly when these coefficients agree.
+    """
+    a_rows = form.map.matrix.row_bits
+    got = [0] * form.num_vars
+    for k in range(0, form.t, 2):
+        # (a_k x)(a_{k+1} x) adds a_k[r] a_{k+1}[s] + a_k[s] a_{k+1}[r] to
+        # entry (r, s); the two diagonal contributions cancel
+        for r in bit_indices(a_rows[k]):
+            got[r] ^= a_rows[k + 1]
+        for r in bit_indices(a_rows[k + 1]):
+            got[r] ^= a_rows[k]
+    pair_mask = sum(1 << i for i in range(0, form.t, 2))
+    tail = 1 << form.t if form.form_type == "II" else 0
+    const = form.c if form.form_type == "I" else 0
+
+    def q(y: int) -> int:
+        return parity((y & (y >> 1) & pair_mask) ^ (y & tail)) ^ const
+
+    b = form.map.offset.bits
+    q_b = q(b)
+    columns = _columns(a_rows, form.num_vars)
+    got_lin = sum(1 << r for r, col in enumerate(columns) if q(col ^ b) != q_b)
+    if got != rows or got_lin != lin or q_b != c0:
+        raise VerificationError("canonical form does not reproduce f; decomposition bug")
 
 
 def flat_from_dickson(d: DicksonForm) -> tuple[Flat, int]:
@@ -195,10 +224,7 @@ def flat_from_dickson(d: DicksonForm) -> tuple[Flat, int]:
     if d.form_type == "II":
         fixed.add(d.t)
     inv = d.map.inverse_matrix
-    columns = [0] * n
-    for i, row in enumerate(inv.row_bits):
-        for j in bit_indices(row):
-            columns[j] |= 1 << i
+    columns = _columns(inv.row_bits, n)
     basis = tuple(BitVec(n, columns[j]) for j in range(n) if j not in fixed)
     constant = d.c if d.form_type == "I" else 0
     return Flat(n, inv.mul_vec(d.map.offset), basis), constant

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from anflat.anf_core import Anf
+from anflat.errors import DimensionMismatchError
+from anflat.f2_linalg import AffineMap, bit_indices
+from anflat.quadratic import DicksonForm
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -74,6 +77,43 @@ def random_quadratic(n: int, rng: np.random.Generator) -> Anf:
             if rng.random() < 0.4:
                 masks.append((1 << i) | (1 << j))
     return Anf(n, frozenset(masks))
+
+
+def compose_affine(f: Anf, a: AffineMap) -> Anf:
+    """ANF of x -> f(a(x)), by expanding each monomial's product of forms.
+
+    Every x_i inside a monomial becomes the affine form given by row i of
+    the matrix plus the offset bit; products are expanded term by term with
+    eager GF(2) cancellation. Worst-case growth is exponential, so it is a
+    slow oracle for small inputs only.
+    """
+    if a.dimension != f.num_vars:
+        raise DimensionMismatchError("map dimension does not match variable count")
+    forms = [(a.matrix.row_bits[i], a.offset.bit(i)) for i in range(f.num_vars)]
+    result: set[int] = set()
+    for term in f.terms:
+        partial: set[int] = {0}
+        for i in bit_indices(term):
+            row, const = forms[i]
+            nxt: set[int] = set()
+            for p in partial:
+                if const:
+                    nxt ^= {p}
+                for j in bit_indices(row):
+                    nxt ^= {p | (1 << j)}
+            partial = nxt
+        result ^= partial
+    return Anf(f.num_vars, frozenset(result))
+
+
+def canonical_anf(d: DicksonForm) -> Anf:
+    """The ANF sum of y_{2i-1} y_{2i} plus the tail, on variables y_1..y_n."""
+    masks = [(1 << k) | (1 << (k + 1)) for k in range(0, d.t, 2)]
+    if d.form_type == "II":
+        masks.append(1 << d.t)
+    elif d.c:
+        masks.append(0)
+    return Anf(d.num_vars, frozenset(masks))
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from anflat.anf_core import (
     FunctionInput,
     TruthTable,
     anf_to_truth_table,
-    compose_affine,
     evaluate_on_points,
     parse_anf,
     truth_table_to_anf,
@@ -39,7 +38,7 @@ from anflat.pipeline import (
     guaranteed_dimension,
     verify_flat,
 )
-from anflat.quadratic import canonical_anf, dickson_decompose
+from anflat.quadratic import dickson_decompose
 from anflat.restriction import (
     UntilCrucialAtMostThirdOfAlive,
     UntilNoCrucial,
@@ -47,7 +46,13 @@ from anflat.restriction import (
     greedy_restrict,
     occurrence_counts,
 )
-from conftest import random_anf, random_quadratic, slow_anf_masks
+from conftest import (
+    canonical_anf,
+    compose_affine,
+    random_anf,
+    random_quadratic,
+    slow_anf_masks,
+)
 
 
 @pytest.fixture
@@ -161,7 +166,7 @@ def test_criterion_05_quadratic_recomposition(report):
         n = 2 + (i % 15)  # 2..16
         f = random_quadratic(n, rng)
         d = dickson_decompose(f)
-        assert compose_affine(canonical_anf(d, n), d.map) == f
+        assert compose_affine(canonical_anf(d), d.map) == f
         for _ in range(5):
             a = random_affine_map(n, rng)
             assert dickson_decompose(compose_affine(f, a)).t == d.t

@@ -7,7 +7,6 @@ from anflat.anf_core import (
     FunctionInput,
     TruthTable,
     anf_to_truth_table,
-    compose_affine,
     evaluate_on_points,
     flat_points_matrix,
     format_anf,
@@ -22,7 +21,7 @@ from anflat.errors import (
     TooLargeError,
 )
 from anflat.f2_linalg import AffineMap, BitMatrix, BitVec, Flat, random_affine_map
-from conftest import random_anf, slow_anf_masks, slow_evaluate
+from conftest import compose_affine, random_anf, slow_anf_masks, slow_evaluate
 
 PROP6_TEXT = "x1*x2*x3 + x1*x4*x5 + x2*x4*x6 + x3*x5*x6"
 

@@ -8,7 +8,6 @@ from anflat.anf_core import (
     Anf,
     FunctionInput,
     anf_to_truth_table,
-    compose_affine,
     parse_anf,
 )
 from anflat.errors import TooLargeError
@@ -28,7 +27,7 @@ from anflat.pipeline import (
     guaranteed_dimension,
     verify_flat,
 )
-from conftest import random_anf, random_quadratic, slow_evaluate, slow_rank
+from conftest import compose_affine, random_anf, random_quadratic, slow_evaluate, slow_rank
 
 
 def all_flats_brute_force(n: int):

@@ -3,16 +3,24 @@ from pathlib import Path
 
 import pytest
 
-from anflat.anf_core import Anf, compose_affine, parse_anf
-from anflat.errors import DegreeTooHighError, InconsistentError
-from anflat.f2_linalg import BitVec, identity_map, rank, random_affine_map
+from anflat.anf_core import Anf, format_anf, parse_anf
+from anflat.errors import DegreeTooHighError, InconsistentError, VerificationError
+from anflat.f2_linalg import (
+    AffineMap,
+    BitMatrix,
+    BitVec,
+    identity_map,
+    rank,
+    random_affine_map,
+)
 from anflat.quadratic import (
     DicksonForm,
-    canonical_anf,
+    _bilinear_rows,
+    _check_coefficients,
     dickson_decompose,
     flat_from_dickson,
 )
-from conftest import random_quadratic
+from conftest import canonical_anf, compose_affine, random_quadratic
 
 
 def test_already_canonical_product():
@@ -34,7 +42,7 @@ def test_linear_completion():
     # the recorded map sends y1 = x1, y2 = x2 + 1
     assert d.map.matrix.to_strings() == ["10", "01"]
     assert d.map.offset.to_string() == "01"
-    assert compose_affine(canonical_anf(d, 2), d.map) == f
+    assert compose_affine(canonical_anf(d), d.map) == f
 
 
 def test_degree_too_high():
@@ -56,13 +64,11 @@ def test_degenerate_classification():
 
 def test_canonical_anf_shapes():
     d = DicksonForm(t=2, form_type="I", c=1, map=identity_map(2))
-    assert canonical_anf(d, 2) == parse_anf("x1*x2 + 1", 2)
+    assert canonical_anf(d) == parse_anf("x1*x2 + 1", 2)
     d0 = DicksonForm(t=0, form_type="I", c=0, map=identity_map(2))
-    assert canonical_anf(d0, 2) == Anf.zero(2)
+    assert canonical_anf(d0) == Anf.zero(2)
     d2 = DicksonForm(t=2, form_type="II", c=0, map=identity_map(3))
-    assert canonical_anf(d2, 3) == parse_anf("x1*x2 + x3", 3)
-    with pytest.raises(InconsistentError):
-        canonical_anf(d2, 4)
+    assert canonical_anf(d2) == parse_anf("x1*x2 + x3", 3)
 
 
 def test_dickson_form_invariants():
@@ -77,17 +83,61 @@ def test_recomposition_random(rng):
         n = int(rng.integers(1, 13))
         f = random_quadratic(n, rng)
         d = dickson_decompose(f)
-        assert compose_affine(canonical_anf(d, n), d.map) == f
+        assert compose_affine(canonical_anf(d), d.map) == f
+
+
+def _with_rows_swapped(d: DicksonForm, i: int, j: int) -> DicksonForm:
+    rows = list(d.map.matrix.row_bits)
+    rows[i], rows[j] = rows[j], rows[i]
+    matrix = BitMatrix(d.num_vars, d.num_vars, tuple(rows))
+    return DicksonForm(d.t, d.form_type, d.c, AffineMap(matrix, d.map.offset))
+
+
+def test_coefficient_check_matches_symbolic_recomposition(rng):
+    """The coefficient check rejects a form exactly when recomposing it
+    symbolically does not give back f.
+
+    Swapping the two rows of a pair leaves the product y1*y2 alone, so it
+    changes f exactly when the pair's two offset bits differ. Swapping a
+    pair row with the row after the pairs always changes the quadratic part.
+    """
+    rejected = {"pair": 0, "cross": 0, "random": 0}
+    for n in range(1, 9):
+        for _ in range(25):
+            f = random_quadratic(n, rng)
+            rows = _bilinear_rows(f)
+            lin = sum(m for m in f.terms if m.bit_count() == 1)
+            c0 = 1 if 0 in f.terms else 0
+            d = dickson_decompose(f)
+            t = int(rng.integers(0, n // 2 + 1)) * 2
+            form_type = "II" if t < n and rng.random() < 0.5 else "I"
+            drawn = DicksonForm(t, form_type, int(rng.integers(2)), random_affine_map(n, rng))
+            forms = [(d, None), (drawn, "random")]
+            if d.t >= 2:
+                forms.append((_with_rows_swapped(d, 0, 1), "pair"))
+            if 2 <= d.t < n:
+                forms.append((_with_rows_swapped(d, 1, d.t), "cross"))
+            for e, kind in forms:
+                changed = compose_affine(canonical_anf(e), e.map) != f
+                try:
+                    _check_coefficients(e, rows, lin, c0)
+                    raised = False
+                except VerificationError:
+                    raised = True
+                assert raised == changed, (format_anf(f), e.to_json_dict())
+                if kind == "pair":
+                    assert changed == (d.map.offset.bit(0) != d.map.offset.bit(1))
+                if kind == "cross":
+                    assert changed
+                if kind:
+                    rejected[kind] += raised
+    assert all(rejected.values()), rejected
 
 
 def test_t_is_twice_half_rank_of_bilinear_form(rng):
     for _ in range(60):
         n = int(rng.integers(2, 11))
         f = random_quadratic(n, rng)
-        from anflat.f2_linalg import BitMatrix
-
-        from anflat.quadratic import _bilinear_rows
-
         b = BitMatrix.from_rows(_bilinear_rows(f), n)
         d = dickson_decompose(f)
         assert d.t == rank(b)
