@@ -238,7 +238,8 @@ def cmd_gen(args) -> int:
         f = generators.complete_degree3(args.n)
     elif family == "rand3-half":
         seed = _resolve_seed(args.seed)
-        f = generators.random_degree3_half(args.n, seed)
+        cfg = generators.Degree3SamplerConfig(n=args.n, s=3.0, seed=seed)  # p = 1/2
+        f = generators.random_degree3_sparse(cfg)
         meta["seed"] = seed
     elif family == "rand3-sparse":
         if args.s is None:

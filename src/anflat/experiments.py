@@ -97,18 +97,23 @@ class ExperimentConfig:
             raise InconsistentError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise InconsistentError("trials must be at least 1")
+        if self.kind == KIND_FLATS and self.flats_per_trial < 1:
+            raise InconsistentError("flats per trial must be at least 1")
+        if self.kind == KIND_RESTRICTIONS and self.restrictions_per_trial < 1:
+            raise InconsistentError("restrictions per trial must be at least 1")
         if self.n < 3:
             raise InconsistentError("need at least 3 variables")
         if self.n > MAX_VARS:
             raise TooLargeError(f"n = {self.n} exceeds the cap of {MAX_VARS} variables")
-        needs_s = self.kind != KIND_SAMPLER or self.family == "rand3-sparse"
-        if needs_s:
-            if self.s is None:
-                raise InconsistentError("this experiment needs the sparsity exponent s")
-            if not 2.0 < self.s <= 3.0:
-                raise InconsistentError(f"s = {self.s} outside (2, 3]")
         if self.kind == KIND_SAMPLER and self.family not in ("rand3-sparse", "rand3-half"):
             raise InconsistentError(f"unknown sampler family {self.family!r}")
+        if self.kind == KIND_SAMPLER and self.family == "rand3-half":
+            # every monomial kept with probability 1/2: s = 3 at scale 1/2
+            self.s, self.inclusion_scale = 3.0, 0.5
+        if self.s is None:
+            raise InconsistentError("this experiment needs the sparsity exponent s")
+        if not 2.0 < self.s <= 3.0:
+            raise InconsistentError(f"s = {self.s} outside (2, 3]")
         if self.inclusion_scale is None:
             # flat-disperser construction uses 1/(2 n^(3-s)); the
             # 0-restriction variant uses 1/n^(3-s)
@@ -282,10 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     sampler-stats aggregates the sparsity moments.
     """
     start = time.perf_counter()
-    if cfg.kind == KIND_SAMPLER and cfg.family == "rand3-half":
-        p = 0.5
-    else:
-        p = cfg.inclusion_probability()
+    p = cfg.inclusion_probability()
     trial_fields, row_keys, names = _RATE_KINDS.get(cfg.kind, (None, None, None))
     outcomes = []
     for i in range(cfg.trials):

@@ -5,6 +5,7 @@ produces the same ANF on every platform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -74,24 +75,6 @@ def complete_degree3(n: int) -> Anf:
     return Anf(n, frozenset(masks))
 
 
-def _sample_degree3(n: int, p: float, rng: np.random.Generator) -> Anf:
-    """Each degree-3 monomial included independently with probability p."""
-    combos = list(combinations(range(n), 3))
-    draws = rng.random(len(combos))
-    masks = [
-        (1 << i) | (1 << j) | (1 << k)
-        for (i, j, k), u in zip(combos, draws)
-        if u < p
-    ]
-    return Anf(n, frozenset(masks))
-
-
-def random_degree3_half(n: int, seed: int) -> Anf:
-    """Each degree-3 monomial included with probability 1/2 (seeded PCG64)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _sample_degree3(n, 0.5, rng)
-
-
 def inclusion_probability(n: int, s: float, scale: float) -> float:
     """scale / n^(3-s), the sparse degree-3 inclusion probability, in (0, 1/2]."""
     p = scale / (n ** (3.0 - s))
@@ -127,12 +110,24 @@ class Degree3SamplerConfig:
 
 def random_degree3_sparse(cfg: Degree3SamplerConfig) -> Anf:
     """Seeded draw from the sparse degree-3 distribution."""
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    return _sample_degree3(cfg.n, cfg.p, rng)
+    return sample_degree3_with_rng(cfg.n, cfg.p, np.random.Generator(np.random.PCG64(cfg.seed)))
 
 
 def sample_degree3_with_rng(n: int, p: float, rng: np.random.Generator) -> Anf:
-    """Draw with a caller-owned generator; used by the experiment harness."""
+    """Each degree-3 monomial kept independently with probability p.
+
+    One uniform number per triple i < j < k in lexicographic order, drawn in
+    one block per first variable; PCG64 gives the same numbers as one call.
+    Memory is O(n^2 + terms), time is C(n, 3) draws.
+    """
     if not 0.0 < p <= 1.0:
         raise InconsistentError(f"inclusion probability {p} outside (0, 1]")
-    return _sample_degree3(n, p, rng)
+    # pairs a < b for x_{a+2} x_{b+2}; those completing x_{i+1} are the last C(n-1-i, 2)
+    first, second = np.triu_indices(n - 1, 1)
+    masks = []
+    for i in range(n - 2):
+        size = math.comb(n - 1 - i, 2)
+        hits = first.size - size + np.flatnonzero(rng.random(size) < p)
+        pairs = zip(first[hits].tolist(), second[hits].tolist())
+        masks += [(1 << i) | (2 << a) | (2 << b) for a, b in pairs]
+    return Anf(n, frozenset(masks))

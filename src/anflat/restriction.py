@@ -81,11 +81,7 @@ class RestrictionState:
             for j in bit_indices(m):
                 self._var_terms[j + 1].add(m)
         # occurrence counts over crucial terms, kept in max buckets
-        self._occ: dict[int, int] = {v: 0 for v in self._alive}
-        for m in self._terms:
-            if m.bit_count() >= 3:
-                for j in bit_indices(m):
-                    self._occ[j + 1] += 1
+        self._occ: dict[int, int] = occurrence_counts(f, self._alive)
         self._buckets: dict[int, set[int]] = {}
         for v, c in self._occ.items():
             self._buckets.setdefault(c, set()).add(v)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,19 @@ def random_quadratic(n: int, rng: np.random.Generator) -> Anf:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 masks.append((1 << i) | (1 << j))
+    return Anf(n, frozenset(masks))
+
+
+def slow_sample_degree3(n: int, p: float, rng: np.random.Generator) -> Anf:
+    """Each degree-3 monomial kept with probability p: all C(n, 3) triples
+    listed in lexicographic order, then one rng.random call for all of them."""
+    combos = list(combinations(range(n), 3))
+    draws = rng.random(len(combos))
+    masks = [
+        (1 << i) | (1 << j) | (1 << k)
+        for (i, j, k), u in zip(combos, draws)
+        if u < p
+    ]
     return Anf(n, frozenset(masks))
 
 

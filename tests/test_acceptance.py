@@ -26,7 +26,6 @@ from anflat.generators import (
     majority,
     prop6_base,
     prop6_family,
-    random_degree3_half,
     random_degree3_sparse,
 )
 from anflat.pipeline import (
@@ -127,7 +126,8 @@ def test_criterion_04_trace_invariants(report):
     functions = []
     for i in range(100):
         n = 8 + (i % 7)  # 8..14
-        functions.append(random_degree3_half(n, 1000 + i))
+        # rand3-half: every monomial kept with probability 1/2
+        functions.append(random_degree3_sparse(Degree3SamplerConfig(n=n, s=3.0, seed=1000 + i)))
     for i in range(100):
         n = (24, 32, 48, 64)[i % 4]
         s = (2.0, 2.25, 2.5)[i % 3]
@@ -256,7 +256,10 @@ def test_criterion_08_sampler_statistics(report):
     sigma = math.sqrt(p * (1 - p) * total / len(sparsities))
     assert abs(mean - p * total) <= 4 * sigma, (mean, p * total, sigma)
 
-    half = [random_degree3_half(10, seed).sparsity() for seed in range(2000)]
+    half = [
+        random_degree3_sparse(Degree3SamplerConfig(n=10, s=3.0, seed=seed)).sparsity()
+        for seed in range(2000)
+    ]
     mean_half = sum(half) / len(half)
     sigma_half = math.sqrt(0.25 * math.comb(10, 3) / len(half))
     assert abs(mean_half - 60.0) <= 4 * sigma_half, (mean_half, sigma_half)

@@ -520,10 +520,24 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
         pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "100000",
                       "--trials", "1", "--master-seed", "1"], "cap",
                      id="sampler-stats-n-beyond-cap"),
+        pytest.param(["gen", "rand3-half", "--n", "2", "--seed", "1"], "at least 3 variables",
+                     id="rand3-half-n-below-3"),
+        pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
+                      "--trials", "2", "--master-seed", "1", "--flats-per-trial", "0"],
+                     "flats per trial", id="disperser-flats-zero-per-trial"),
+        pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
+                      "--trials", "2", "--master-seed", "1", "--flats-per-trial", "-3"],
+                     "flats per trial", id="disperser-flats-negative-per-trial"),
+        pytest.param(["experiment", "disperser-restrictions", "--n", "12", "--s", "2.5",
+                      "--trials", "2", "--master-seed", "1",
+                      "--restrictions-per-trial", "-1"],
+                     "restrictions per trial", id="disperser-restrictions-negative-per-trial"),
     ],
 )
 def test_generator_size_exit_2_without_traceback(argv, message):
-    """A family without --n, or with n past the variable cap, ends with exit 2."""
+    """A family without --n or with n outside [3, cap], or an experiment with n past
+    the cap or fewer than one flat or restriction per trial, ends with exit 2 and
+    a message naming the fault."""
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr

@@ -58,8 +58,18 @@ def test_config_validation():
         ExperimentConfig(kind=KIND_FLATS, n=12, trials=0, master_seed=0, s=2.5, k=3)
     with pytest.raises(TooLargeError):
         ExperimentConfig(kind=KIND_FLATS, n=64, trials=1, master_seed=0, s=2.5, k=30)
+    with pytest.raises(InconsistentError, match="flats per trial"):
+        ExperimentConfig(kind=KIND_FLATS, n=12, trials=1, master_seed=0, s=2.5, k=3,
+                         flats_per_trial=0)
+    with pytest.raises(InconsistentError, match="restrictions per trial"):
+        ExperimentConfig(kind=KIND_RESTRICTIONS, n=12, trials=1, master_seed=0, s=2.5, k=3,
+                         restrictions_per_trial=-1)
+    # a count the kind does not use is not checked
+    ExperimentConfig(kind=KIND_FLATS, n=12, trials=1, master_seed=0, s=2.5, k=3,
+                     restrictions_per_trial=0)
     cfg = ExperimentConfig(kind=KIND_SAMPLER, n=10, trials=5, master_seed=0, family="rand3-half")
     assert cfg.echo()["family"] == "rand3-half"
+    assert cfg.inclusion_probability() == 0.5  # rand3-half is s = 3 at scale 1/2
 
 
 def test_default_dimension_formulas():

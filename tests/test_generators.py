@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from anflat.anf_core import DEFAULT_TABLE_CAP, Anf, anf_to_truth_table, parse_anf
@@ -11,10 +13,12 @@ from anflat.generators import (
     majority,
     prop6_base,
     prop6_family,
-    random_degree3_half,
     random_degree3_sparse,
+    sample_degree3_with_rng,
 )
 from anflat.restriction import UntilNoCrucial, exhaustive_hitting_set, greedy_restrict
+
+from conftest import slow_sample_degree3
 
 
 def test_majority_small_cases():
@@ -90,10 +94,36 @@ def test_complete_degree3():
         complete_degree3(2)
 
 
+def test_sampler_stream_matches_single_call_oracle():
+    """Blocked draws give the oracle's Anf and leave the generator in its end state."""
+    for n in range(1, 41):
+        for p in (1e-3, 0.05, 0.5, 1.0):
+            for seed in range(3):
+                fast_rng = np.random.Generator(np.random.PCG64(seed))
+                slow_rng = np.random.Generator(np.random.PCG64(seed))
+                fast = sample_degree3_with_rng(n, p, fast_rng)
+                assert fast == slow_sample_degree3(n, p, slow_rng)
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_sampler_memory_is_below_the_triple_count():
+    """n = 120 has 280,840 triples; listing them all peaks near 23 MB."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    tracemalloc.start()
+    try:
+        f = sample_degree3_with_rng(120, 0.5 / 120**0.5, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.sparsity() > 0
+    assert peak < 6 * 2**20, peak
+
+
 def test_half_sampler_determinism_and_degree():
-    a = random_degree3_half(12, 777)
-    b = random_degree3_half(12, 777)
-    c = random_degree3_half(12, 778)
+    assert Degree3SamplerConfig(n=12, s=3.0, seed=777).p == 0.5  # rand3-half
+    a = random_degree3_sparse(Degree3SamplerConfig(n=12, s=3.0, seed=777))
+    b = random_degree3_sparse(Degree3SamplerConfig(n=12, s=3.0, seed=777))
+    c = random_degree3_sparse(Degree3SamplerConfig(n=12, s=3.0, seed=778))
     assert a == b
     assert a != c
     assert a.degree() <= 3
@@ -103,7 +133,10 @@ def test_half_sampler_determinism_and_degree():
 def test_half_sampler_mean_near_half(rng):
     n = 10
     total = math.comb(n, 3)
-    sparsities = [random_degree3_half(n, seed).sparsity() for seed in range(400)]
+    sparsities = [
+        random_degree3_sparse(Degree3SamplerConfig(n=n, s=3.0, seed=seed)).sparsity()
+        for seed in range(400)
+    ]
     mean = sum(sparsities) / len(sparsities)
     sigma = math.sqrt(total * 0.25 / len(sparsities))
     assert abs(mean - total / 2) <= 4 * sigma

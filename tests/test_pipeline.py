@@ -13,7 +13,7 @@ from anflat.anf_core import (
 from anflat.errors import TooLargeError
 from anflat.experiments import random_flat
 from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
-from anflat.generators import prop6_base, random_degree3_half
+from anflat.generators import Degree3SamplerConfig, prop6_base, random_degree3_sparse
 from anflat.pipeline import (
     DEFAULT_VERIFY_SEED,
     _invertible_matrices,
@@ -111,7 +111,7 @@ def test_find_constant_flat_with_bijection(rng):
 
 
 def test_find_constant_flat_epsilon_bound(rng):
-    f = random_degree3_half(10, 4)
+    f = random_degree3_sparse(Degree3SamplerConfig(n=10, s=3.0, seed=4))
     report = find_constant_flat(FunctionInput(f), epsilon=1.0)
     assert report.bound_epsilon == 1.0
     assert report.guaranteed_dim == guaranteed_dimension(10, 1.0)
@@ -155,7 +155,7 @@ def ball_size(func: FunctionInput, flat: Flat) -> int:
 
 def test_verify_flat_sampled_mode(rng):
     n = 24
-    f = random_degree3_half(n, 11)
+    f = random_degree3_sparse(Degree3SamplerConfig(n=n, s=3.0, seed=11))
     func = FunctionInput(f)
     report = find_constant_flat(func)
     cap = ball_size(func, report.flat) - 1  # below the ball: only sampling fits the cap

@@ -4,7 +4,13 @@ import pytest
 
 from anflat.anf_core import Anf, parse_anf
 from anflat.errors import NoCrucialTermsError, TooLargeError, VerificationError
-from anflat.generators import complete_degree3, prop6_base, prop6_family, random_degree3_half
+from anflat.generators import (
+    Degree3SamplerConfig,
+    complete_degree3,
+    prop6_base,
+    prop6_family,
+    random_degree3_sparse,
+)
 from anflat.restriction import (
     RestrictionState,
     UntilCrucialAtMostThirdOfAlive,
@@ -91,7 +97,8 @@ def test_greedy_restrict_quadratic_noop():
 def test_trace_invariants_on_random_inputs(rng):
     for trial in range(40):
         n = int(rng.integers(6, 13))
-        f = random_degree3_half(n, int(rng.integers(0, 2**32)))
+        cfg = Degree3SamplerConfig(n=n, s=3.0, seed=int(rng.integers(0, 2**32)))
+        f = random_degree3_sparse(cfg)
         start_crucial = f.crucial_count()
         state = greedy_restrict(f, UntilNoCrucial())
         alive = n
@@ -132,7 +139,7 @@ def test_stop_rule_step_bound_in_regime(rng):
 
 
 def test_determinism_identical_traces():
-    f = random_degree3_half(10, 99)
+    f = random_degree3_sparse(Degree3SamplerConfig(n=10, s=3.0, seed=99))
     t1 = greedy_restrict(f, UntilNoCrucial()).trace.to_json_list()
     t2 = greedy_restrict(f, UntilNoCrucial()).trace.to_json_list()
     assert t1 == t2
@@ -150,7 +157,8 @@ def test_exhaustive_hitting_set_examples():
 def test_hitting_set_solution_is_feasible_and_optimal(rng):
     for trial in range(20):
         n = int(rng.integers(5, 9))
-        f = random_degree3_half(n, int(rng.integers(0, 2**32)))
+        cfg = Degree3SamplerConfig(n=n, s=3.0, seed=int(rng.integers(0, 2**32)))
+        f = random_degree3_sparse(cfg)
         result = exhaustive_hitting_set(f)
         crucial = [m for m in f.terms if m.bit_count() >= 3]
         mask = 0
@@ -175,7 +183,8 @@ def test_hitting_set_node_limit():
 def test_greedy_dominates_never_beats_exact(rng):
     for trial in range(15):
         n = int(rng.integers(5, 10))
-        f = random_degree3_half(n, int(rng.integers(0, 2**32)))
+        cfg = Degree3SamplerConfig(n=n, s=3.0, seed=int(rng.integers(0, 2**32)))
+        f = random_degree3_sparse(cfg)
         exact = exhaustive_hitting_set(f)
         greedy_len = len(greedy_restrict(f, UntilNoCrucial()).trace)
         assert len(exact) <= greedy_len
