@@ -220,6 +220,8 @@ def _resolve_seed(seed: int | None) -> int:
 def cmd_gen(args) -> int:
     family = args.family
     meta: dict = {"family": family}
+    if family != "rand3-sparse" and (args.s is not None or args.scale is not None):
+        raise InconsistentError(f"--s and --scale apply only to rand3-sparse, not {family}")
     if family not in ("prop6", "prop6-family"):  # every other family is sized by --n
         if args.n is None:
             raise InconsistentError(f"{family} needs --n")
@@ -245,11 +247,12 @@ def cmd_gen(args) -> int:
         if args.s is None:
             raise InconsistentError("rand3-sparse needs --s")
         seed = _resolve_seed(args.seed)
+        scale = 0.5 if args.scale is None else args.scale
         cfg = generators.Degree3SamplerConfig(
-            n=args.n, s=args.s, seed=seed, inclusion_scale=args.scale
+            n=args.n, s=args.s, seed=seed, inclusion_scale=scale
         )
         f = generators.random_degree3_sparse(cfg)
-        meta.update({"seed": seed, "s": args.s, "inclusion_scale": args.scale})
+        meta.update({"seed": seed, "s": args.s, "inclusion_scale": scale})
     else:
         raise InconsistentError(f"unknown family {family!r}")
     meta.update({"n": f.num_vars, "anf": format_anf(f)})
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=1, help="blocks parameter for prop6-family")
     p.add_argument("--s", type=float, default=None, help="sparsity exponent for rand3-sparse")
-    p.add_argument("--scale", type=float, default=0.5, help="inclusion probability scale")
+    p.add_argument("--scale", type=float, default=None, help="inclusion probability scale")
     p.add_argument("--seed", type=_seed_arg, default=None, help="decimal or 0x hex")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--flats-per-trial", type=int, default=50)
     p.add_argument("--restrictions-per-trial", type=int, default=50)
-    p.add_argument("--family", choices=["rand3-sparse", "rand3-half"], default="rand3-sparse")
+    p.add_argument("--family", choices=["rand3-sparse", "rand3-half"], default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--master-seed", type=_seed_arg, default=None)
     p.add_argument("--out", default=None)

@@ -21,7 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from .anf_core import MAX_VARS, Anf, evaluate_on_points, flat_points_matrix
+from .anf_core import (
+    DEFAULT_TABLE_CAP,
+    MAX_VARS,
+    Anf,
+    anf_to_truth_table,
+    evaluate_on_points,
+    flat_points_matrix,
+)
 from .errors import InconsistentError, TooLargeError
 from .f2_linalg import BitVec, Flat, insert_independent, random_bits
 from .generators import inclusion_probability, sample_degree3_with_rng
@@ -89,7 +96,7 @@ class ExperimentConfig:
     k: Optional[int] = None
     flats_per_trial: int = 50
     restrictions_per_trial: int = 50
-    family: str = "rand3-sparse"
+    family: Optional[str] = None
     inclusion_scale: Optional[float] = None
 
     def __post_init__(self):
@@ -105,9 +112,16 @@ class ExperimentConfig:
             raise InconsistentError("need at least 3 variables")
         if self.n > MAX_VARS:
             raise TooLargeError(f"n = {self.n} exceeds the cap of {MAX_VARS} variables")
+        if self.kind != KIND_SAMPLER and self.family is not None:
+            raise InconsistentError(f"{self.kind} takes no family: it samples rand3-sparse")
+        if self.kind == KIND_SAMPLER and self.family is None:
+            self.family = "rand3-sparse"
         if self.kind == KIND_SAMPLER and self.family not in ("rand3-sparse", "rand3-half"):
             raise InconsistentError(f"unknown sampler family {self.family!r}")
         if self.kind == KIND_SAMPLER and self.family == "rand3-half":
+            if self.s is not None or self.inclusion_scale is not None:
+                raise InconsistentError("rand3-half takes no s or scale: it keeps each "
+                                        "monomial with probability 1/2")
             # every monomial kept with probability 1/2: s = 3 at scale 1/2
             self.s, self.inclusion_scale = 3.0, 0.5
         if self.s is None:
@@ -200,15 +214,38 @@ def _trial_rng(cfg: ExperimentConfig, index: int) -> tuple[int, np.random.Genera
     return seed, np.random.Generator(np.random.PCG64(seed))
 
 
+def _flat_point_ints(flat: Flat) -> np.ndarray:
+    """The 2^k points of flat as ints, in point_at order."""
+    points = np.empty(1 << flat.dimension, dtype=np.int64)
+    points[0] = flat.offset.bits
+    size = 1
+    for b in flat.basis:
+        np.bitwise_xor(points[:size], b.bits, out=points[size : 2 * size])
+        size *= 2
+    return points
+
+
 def _constant_flats(cfg: ExperimentConfig, f: Anf, rng: np.random.Generator) -> dict:
     """Draw flats_per_trial uniform k-flats; count those f is constant on.
 
-    Constancy is checked exhaustively over each flat's points.
+    Constancy is checked exhaustively over each flat's points. When f's
+    truth table is no bigger than one flat at the flat cap, or than the
+    points the trial evaluates anyway, it is built once and each flat's
+    points are looked up in it; otherwise each flat is evaluated term by
+    term.
     """
+    n, k = cfg.n, cfg.k
+    use_table = n <= MAX_FLAT_DIMENSION or (
+        n <= DEFAULT_TABLE_CAP and 1 << n <= cfg.flats_per_trial << k
+    )
+    table = anf_to_truth_table(f).values if use_table else None
     constant = 0
     for _ in range(cfg.flats_per_trial):
-        flat = random_flat(cfg.n, cfg.k, rng)
-        values = evaluate_on_points(f, flat_points_matrix(flat))
+        flat = random_flat(n, k, rng)
+        if table is None:
+            values = evaluate_on_points(f, flat_points_matrix(flat))
+        else:
+            values = table[_flat_point_ints(flat)]
         if int(values.min()) == int(values.max()):
             constant += 1
     return {"flats": cfg.flats_per_trial, "constant_flats": constant}

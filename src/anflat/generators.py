@@ -123,11 +123,12 @@ def sample_degree3_with_rng(n: int, p: float, rng: np.random.Generator) -> Anf:
     if not 0.0 < p <= 1.0:
         raise InconsistentError(f"inclusion probability {p} outside (0, 1]")
     # pairs a < b for x_{a+2} x_{b+2}; those completing x_{i+1} are the last C(n-1-i, 2)
-    first, second = np.triu_indices(n - 1, 1)
+    m = n - 1
+    first, second = np.nonzero(np.arange(m)[:, None] < np.arange(m))
     masks = []
     for i in range(n - 2):
         size = math.comb(n - 1 - i, 2)
-        hits = first.size - size + np.flatnonzero(rng.random(size) < p)
+        hits = first.size - size + (rng.random(size) < p).nonzero()[0]
         pairs = zip(first[hits].tolist(), second[hits].tolist())
         masks += [(1 << i) | (2 << a) | (2 << b) for a, b in pairs]
     return Anf(n, frozenset(masks))

@@ -559,3 +559,30 @@ def test_oracle_over_cap_exit_2_without_traceback(tmp_path, kind, n):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["gen", "rand3-half", "--n", "5", "--seed", "1", "--scale", "1.0"],
+                     "--scale", id="gen-rand3-half-scale"),
+        pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "10",
+                      "--trials", "2", "--master-seed", "1", "--s", "2.5"],
+                     "rand3-half takes no s", id="sampler-stats-half-s"),
+        pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "10",
+                      "--trials", "2", "--master-seed", "1", "--scale", "0.5"],
+                     "rand3-half takes no s or scale", id="sampler-stats-half-scale"),
+        pytest.param(["experiment", "disperser-flats", "--family", "rand3-sparse", "--n", "12",
+                      "--s", "2.5", "--k", "3", "--trials", "2", "--master-seed", "1"],
+                     "takes no family", id="disperser-flats-family"),
+        pytest.param(["experiment", "disperser-restrictions", "--family", "rand3-half",
+                      "--n", "12", "--s", "2.5", "--trials", "2", "--master-seed", "1"],
+                     "takes no family", id="disperser-restrictions-family"),
+    ],
+)
+def test_flag_that_does_nothing_exit_2(argv, message):
+    """A flag the chosen family or experiment would ignore is refused, not dropped."""
+    proc = run_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr

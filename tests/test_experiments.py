@@ -4,18 +4,23 @@ import math
 import numpy as np
 import pytest
 
+import anflat.experiments as experiments
+from anflat.anf_core import Anf
 from anflat.errors import InconsistentError, TooLargeError
 from anflat.experiments import (
     KIND_FLATS,
     KIND_RESTRICTIONS,
     KIND_SAMPLER,
     ExperimentConfig,
+    _constant_flats,
     random_flat,
     run_experiment,
     stable_seed,
     wilson_interval,
 )
 from anflat.f2_linalg import rank, BitMatrix
+from anflat.generators import sample_degree3_with_rng
+from conftest import slow_evaluate
 
 
 def test_stable_seed_is_order_free_and_fixed():
@@ -200,3 +205,48 @@ def test_run_experiment_dispatch():
     assert len(csv_text.splitlines()) == 3
     parsed = json.loads(report.to_json_text())
     assert parsed["asymptotic_claim"] is True
+
+
+def _slow_constant(f, flat) -> bool:
+    points = flat.points()
+    first = slow_evaluate(f, points[0].bits)
+    return all(slow_evaluate(f, p.bits) == first for p in points)
+
+
+@pytest.mark.parametrize(
+    "n, k, flats, f, table",
+    [
+        pytest.param(12, 3, 50, None, True, id="n12-k3-table"),
+        pytest.param(16, 0, 50, None, True, id="n16-k0-table"),
+        pytest.param(21, 18, 8, None, True, id="n21-k18-table-by-flat-points"),
+        pytest.param(22, 3, 50, None, False, id="n22-k3-kernel"),
+        pytest.param(26, 2, 50, None, False, id="n26-k2-over-table-cap"),
+        pytest.param(12, 3, 50, Anf(12, frozenset({0, 1, 1 << 5})), True, id="affine-table"),
+        pytest.param(22, 3, 50, Anf(22, frozenset({0, 1, 1 << 5})), False, id="affine-kernel"),
+        pytest.param(12, 3, 20, Anf.zero(12), True, id="zero-table"),
+        pytest.param(22, 3, 20, Anf.zero(22), False, id="zero-kernel"),
+    ],
+)
+def test_constant_flats_matches_slow_replay(monkeypatch, n, k, flats, f, table):
+    """Both constancy paths count what a slow replay of the same flats counts,
+    use the table exactly where the rule says, and draw nothing else."""
+    cfg = ExperimentConfig(kind=KIND_FLATS, n=n, trials=1, master_seed=0, s=2.5, k=k,
+                           flats_per_trial=flats)
+    if f is None:
+        f = sample_degree3_with_rng(n, cfg.inclusion_probability(), np.random.default_rng(n))
+    kernel_calls = []
+    kernel = experiments.evaluate_on_points
+
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(experiments, "evaluate_on_points", counted_kernel)
+    rng = np.random.default_rng(1000 + n)
+    row = _constant_flats(cfg, f, rng)
+    assert len(kernel_calls) == (0 if table else flats)
+
+    replay_rng = np.random.default_rng(1000 + n)
+    expected = sum(_slow_constant(f, random_flat(n, k, replay_rng)) for _ in range(flats))
+    assert row == {"flats": flats, "constant_flats": expected}
+    assert rng.bit_generator.state == replay_rng.bit_generator.state

@@ -8,6 +8,7 @@ all those ops, which is the identity gate for refactors:
 
     python3 tools/stdout_hashes.py --seed 401 --seed 502
     python3 tools/stdout_hashes.py --seed 401 --src ../other/src
+    python3 tools/stdout_hashes.py --seed 401 --workload disperser-k3
 
 perfbench is imported, never written to. stderr (the experiment's wall
 clock) is not hashed.
@@ -31,6 +32,8 @@ def main(argv=None) -> int:
                         help="workload seed; repeat for several")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the anflat package (default: this checkout's)")
+    parser.add_argument("--workload", action="append", default=None,
+                        help="hash only this workload; repeat for several (default: all)")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
@@ -38,7 +41,13 @@ def main(argv=None) -> int:
     from tracing import NULL_TRACER
     from anflat import cli
 
-    for name, workload in workloads.WORKLOADS.items():
+    names = args.workload or list(workloads.WORKLOADS)
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; "
+                     f"choose from {', '.join(workloads.WORKLOADS)}")
+    for name in names:
+        workload = workloads.WORKLOADS[name]
         digest = hashlib.sha256()
         ops = 0
         for seed in args.seed:
