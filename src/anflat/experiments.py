@@ -112,18 +112,19 @@ class ExperimentConfig:
             raise InconsistentError("need at least 3 variables")
         if self.n > MAX_VARS:
             raise TooLargeError(f"n = {self.n} exceeds the cap of {MAX_VARS} variables")
-        if self.kind != KIND_SAMPLER and self.family is not None:
-            raise InconsistentError(f"{self.kind} takes no family: it samples rand3-sparse")
-        if self.kind == KIND_SAMPLER and self.family is None:
+        if self.kind != KIND_SAMPLER:
+            if self.family is not None:
+                raise InconsistentError(f"{self.kind} takes no family: it samples rand3-sparse")
+        elif self.family is None:
             self.family = "rand3-sparse"
-        if self.kind == KIND_SAMPLER and self.family not in ("rand3-sparse", "rand3-half"):
-            raise InconsistentError(f"unknown sampler family {self.family!r}")
-        if self.kind == KIND_SAMPLER and self.family == "rand3-half":
+        elif self.family == "rand3-half":
             if self.s is not None or self.inclusion_scale is not None:
                 raise InconsistentError("rand3-half takes no s or scale: it keeps each "
                                         "monomial with probability 1/2")
             # every monomial kept with probability 1/2: s = 3 at scale 1/2
             self.s, self.inclusion_scale = 3.0, 0.5
+        elif self.family != "rand3-sparse":
+            raise InconsistentError(f"unknown sampler family {self.family!r}")
         if self.s is None:
             raise InconsistentError("this experiment needs the sparsity exponent s")
         if not 2.0 < self.s <= 3.0:

@@ -12,7 +12,6 @@ from anflat.experiments import (
     KIND_RESTRICTIONS,
     KIND_SAMPLER,
     ExperimentConfig,
-    _constant_flats,
     random_flat,
     run_experiment,
     stable_seed,
@@ -243,7 +242,7 @@ def test_constant_flats_matches_slow_replay(monkeypatch, n, k, flats, f, table):
 
     monkeypatch.setattr(experiments, "evaluate_on_points", counted_kernel)
     rng = np.random.default_rng(1000 + n)
-    row = _constant_flats(cfg, f, rng)
+    row = experiments._constant_flats(cfg, f, rng)
     assert len(kernel_calls) == (0 if table else flats)
 
     replay_rng = np.random.default_rng(1000 + n)
