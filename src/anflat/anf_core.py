@@ -6,8 +6,9 @@ empty mask is the constant term 1.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_js
 DEFAULT_TABLE_CAP = 24
 MAX_VARS = 4096  # most variables an input may declare or index
 MAX_INDEX_DIGITS = len(str(MAX_VARS))
+
+# one term of the ANF grammar, and one factor's index inside it
+_TERM = re.compile(r"\s*(?:1|x\d+(?:\s*\*\s*x\d+)*)\s*")
+_INDEX = re.compile(r"x(\d+)")
 
 
 @dataclass(frozen=True)
@@ -44,19 +49,6 @@ class Anf:
     @classmethod
     def zero(cls, num_vars: int) -> "Anf":
         return cls(num_vars, frozenset())
-
-    @classmethod
-    def from_index_terms(cls, num_vars: int, index_terms: Iterable[Iterable[int]]) -> "Anf":
-        """Build from terms given as iterables of 1-based variable indices."""
-        masks: set[int] = set()
-        for t in index_terms:
-            mask = 0
-            for i in t:
-                if not 1 <= i <= num_vars:
-                    raise IndexOutOfRangeError(f"x{i} outside [1, {num_vars}]")
-                mask |= 1 << (i - 1)
-            masks.symmetric_difference_update({mask})
-        return cls(num_vars, frozenset(masks))
 
     def sparsity(self) -> int:
         """Number of monomials."""
@@ -103,88 +95,46 @@ def format_anf(f: Anf) -> str:
     return " + ".join(parts)
 
 
-def parse_anf(text: str, num_vars: int) -> Anf:
-    """Parse `term (+ term)* | 0` with term `1 | x<i>(*x<j>)*`.
+def _index(digits: str, at: int) -> int:
+    """The i of the x<i> at offset `at`; a digit run longer than the cap's is refused unread."""
+    if len(digits) > MAX_INDEX_DIGITS:
+        raise TooLargeError(
+            f"index of {len(digits)} digits exceeds the cap of {MAX_VARS} variables "
+            f"(at position {at})"
+        )
+    return int(digits)
 
-    Whitespace is ignored anywhere. Repeated identical terms cancel in
-    pairs and repeated variables inside a term collapse (x*x = x).
+
+def infer_num_vars(text: str) -> int:
+    """The largest index i of an x<i> in the text; 1 when there is none."""
+    return max((_index(m[1], m.start()) for m in _INDEX.finditer(text)), default=1)
+
+
+def parse_anf(text: str, num_vars: int) -> Anf:
+    """Parse `0`, or `term (+ term)*` with each term matching _TERM: `1` or `x<i>(*x<j>)*`.
+
+    Whitespace is free around terms and factors (not inside `x<i>`).
+    Repeated identical terms cancel in pairs and repeated variables
+    inside a term collapse (x*x = x).
     """
     if num_vars < 0:
         raise DimensionMismatchError("negative variable count")
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_factor() -> Optional[int]:
-        """Returns a mask for x<i>, or None for the literal 1."""
-        nonlocal pos
-        if pos < n and text[pos] == "1":
-            pos += 1
-            return None
-        if pos >= n or text[pos] != "x":
-            raise AnfSyntaxError("expected 'x<index>' or '1'", pos)
-        start = pos
-        pos += 1
-        while pos < n and text[pos].isdecimal():
-            pos += 1
-        digits = text[start + 1 : pos]
-        if not digits:
-            raise AnfSyntaxError("expected digits after 'x'", pos)
-        if len(digits) > MAX_INDEX_DIGITS:
-            raise TooLargeError(
-                f"index of {len(digits)} digits exceeds the cap of {MAX_VARS} variables "
-                f"(at position {start})"
-            )
-        idx = int(digits)
-        if not 1 <= idx <= num_vars:
-            raise IndexOutOfRangeError(
-                f"x{idx} outside [1, {num_vars}] (at position {start})"
-            )
-        return 1 << (idx - 1)
-
-    def parse_term() -> int:
-        nonlocal pos
-        first = parse_factor()
-        if first is None:
-            return 0  # constant term; grammar forbids 1*x
-        mask = first
-        while True:
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                nxt = parse_factor()
-                if nxt is None:
-                    raise AnfSyntaxError("'1' cannot appear as a product factor", pos - 1)
-                mask |= nxt
-            else:
-                return mask
-
-    skip_ws()
-    if pos >= n:
-        raise AnfSyntaxError("empty input", pos)
-    if text[pos] == "0":
-        pos += 1
-        skip_ws()
-        if pos < n:
-            raise AnfSyntaxError("'0' must stand alone", pos)
+    if text.strip() == "0":
         return Anf.zero(num_vars)
-
     masks: set[int] = set()
-    while True:
-        skip_ws()
-        term = parse_term()
-        masks.symmetric_difference_update({term})
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] != "+":
-            raise AnfSyntaxError("expected '+' between terms", pos)
-        pos += 1
+    pos = 0
+    for piece in text.split("+"):
+        if not _TERM.fullmatch(piece):
+            raise AnfSyntaxError("expected a term '1' or 'x<i>(*x<j>)*'", pos)
+        mask = 0
+        for match in _INDEX.finditer(piece):
+            at = pos + match.start()
+            i = _index(match[1], at)
+            if not 1 <= i <= num_vars:
+                raise IndexOutOfRangeError(f"x{i} outside [1, {num_vars}] (at position {at})")
+            mask |= 1 << (i - 1)
+        masks ^= {mask}
+        pos += len(piece) + 1
     return Anf(num_vars, frozenset(masks))
 
 
@@ -251,7 +201,9 @@ def anf_to_truth_table(f: Anf) -> TruthTable:
     coeffs = np.zeros(1 << f.num_vars, dtype=np.uint8)
     for m in f.terms:
         coeffs[m] = 1
-    return TruthTable(f.num_vars, xor_transform(coeffs, f.num_vars))
+    values = xor_transform(coeffs, f.num_vars)
+    del coeffs  # TruthTable copies values; keep at most two tables alive
+    return TruthTable(f.num_vars, values)
 
 
 def evaluate_packed_columns(f: Anf, packed: np.ndarray) -> np.ndarray:
@@ -354,15 +306,12 @@ class FunctionInput:
             return self.g.evaluate(x)
         return self.g.evaluate(self.bijection.inverse().apply(x))
 
-    def to_json_dict(self, comment: str | None = None) -> dict:
-        obj = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.g.num_vars,
             "anf": format_anf(self.g),
             "bijection": None if self.bijection is None else self.bijection.to_json_dict(),
         }
-        if comment is not None:
-            obj["comment"] = comment
-        return obj
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FunctionInput":

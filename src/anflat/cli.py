@@ -13,24 +13,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
 from . import experiments, generators, pipeline
 from .anf_core import (
-    MAX_INDEX_DIGITS,
     MAX_VARS,
     FunctionInput,
     TruthTable,
     anf_to_truth_table,
     format_anf,
+    infer_num_vars,
     parse_anf,
     truth_table_to_anf,
 )
 from .errors import AnflatError, InconsistentError, TooLargeError, VerificationError
 from .f2_linalg import Flat, load_json
-from .restriction import exhaustive_hitting_set, occurrence_counts
+from .restriction import DEFAULT_NODE_LIMIT, exhaustive_hitting_set, occurrence_counts
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,17 +66,17 @@ def _emit_json(obj: dict, out: str | None = None) -> None:
     _write_output(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
 
 
-def _infer_num_vars(text: str) -> int:
-    digits = re.findall(r"x(\d+)", text)
-    if any(len(d) > MAX_INDEX_DIGITS for d in digits):
-        raise TooLargeError(f"an index exceeds the cap of {MAX_VARS} variables")
-    return max(map(int, digits), default=1)
-
-
 def _check_var_cap(n: int) -> int:
     if n > MAX_VARS:
         raise TooLargeError(f"n = {n} exceeds the cap of {MAX_VARS} variables")
     return n
+
+
+def _refuse_unused(args, flags: str, used: str, where: str) -> None:
+    """Refuse each of the `flags` that was passed but is not among those `where` uses."""
+    for flag in flags.split():
+        if flag not in used.split() and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InconsistentError(f"{flag} does not apply to {where}")
 
 
 def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput:
@@ -85,8 +84,10 @@ def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput
     if fmt == "auto":
         fmt = "container" if text.lstrip().startswith("{") else "anf"
     if fmt == "container":
+        if n_override is not None:
+            raise InconsistentError("--n does not apply to a JSON container, which states its n")
         return FunctionInput.from_json_text(text)
-    n = n_override if n_override is not None else _infer_num_vars(text)
+    n = n_override if n_override is not None else infer_num_vars(text)
     return FunctionInput(parse_anf(text, _check_var_cap(n)))
 
 
@@ -193,8 +194,12 @@ def cmd_verify_flat(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.source == "anf":
-        f = _load_function(args.file, "auto", args.n).g
+        func = _load_function(args.file, "auto", args.n)
+        if func.bijection is not None:
+            raise InconsistentError("convert writes g, not f = g o A^-1: give a null bijection")
+        f = func.g
     else:
+        _refuse_unused(args, "--n", "", "--from truth-table")
         f = truth_table_to_anf(TruthTable.from_string(_read_input(args.file)))
     if args.target == "anf":
         if args.json:
@@ -217,12 +222,23 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+# the gen flags each family reads; passing any other is refused
+_GEN_FLAGS = {
+    "majority": "--n",
+    "all-ones": "--n",
+    "prop6": "",
+    "prop6-family": "--m",
+    "complete3": "--n",
+    "rand3-half": "--n --seed",
+    "rand3-sparse": "--n --s --scale --seed",
+}
+
+
 def cmd_gen(args) -> int:
     family = args.family
     meta: dict = {"family": family}
-    if family != "rand3-sparse" and (args.s is not None or args.scale is not None):
-        raise InconsistentError(f"--s and --scale apply only to rand3-sparse, not {family}")
-    if family not in ("prop6", "prop6-family"):  # every other family is sized by --n
+    _refuse_unused(args, "--n --m --s --scale --seed", _GEN_FLAGS[family], family)
+    if "--n" in _GEN_FLAGS[family]:
         if args.n is None:
             raise InconsistentError(f"{family} needs --n")
         _check_var_cap(args.n)
@@ -233,9 +249,10 @@ def cmd_gen(args) -> int:
     elif family == "prop6":
         f = generators.prop6_base()
     elif family == "prop6-family":
-        _check_var_cap(30 * args.m)  # prop6_family(m) has n = 30m
-        f = generators.prop6_family(args.m)
-        meta["m"] = args.m
+        m = 1 if args.m is None else args.m
+        _check_var_cap(30 * m)  # prop6_family(m) has n = 30m
+        f = generators.prop6_family(m)
+        meta["m"] = m
     elif family == "complete3":
         f = generators.complete_degree3(args.n)
     elif family == "rand3-half":
@@ -243,7 +260,7 @@ def cmd_gen(args) -> int:
         cfg = generators.Degree3SamplerConfig(n=args.n, s=3.0, seed=seed)  # p = 1/2
         f = generators.random_degree3_sparse(cfg)
         meta["seed"] = seed
-    elif family == "rand3-sparse":
+    else:  # rand3-sparse
         if args.s is None:
             raise InconsistentError("rand3-sparse needs --s")
         seed = _resolve_seed(args.seed)
@@ -253,8 +270,6 @@ def cmd_gen(args) -> int:
         )
         f = generators.random_degree3_sparse(cfg)
         meta.update({"seed": seed, "s": args.s, "inclusion_scale": scale})
-    else:
-        raise InconsistentError(f"unknown family {family!r}")
     meta.update({"n": f.num_vars, "anf": format_anf(f)})
     if args.json:
         _emit_json(meta, args.out)
@@ -264,6 +279,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.kind != "hitting-set":
+        _refuse_unused(args, "--budget --node-limit", "", f"oracle {args.kind}")
     func = _load_function(args.file, args.format, args.n)
     g = func.g
     if args.kind == "normality":
@@ -277,7 +294,8 @@ def cmd_oracle(args) -> int:
         report = {"kind": "thickness", "thickness": value}
         human = [f"thickness: {value}"]
     else:
-        result = exhaustive_hitting_set(g, budget=args.budget, node_limit=args.node_limit)
+        node_limit = DEFAULT_NODE_LIMIT if args.node_limit is None else args.node_limit
+        result = exhaustive_hitting_set(g, budget=args.budget, node_limit=node_limit)
         if result is None:
             report = {"kind": "hitting-set", "optimum": None, "variables": None}
             human = ["optimum: exceeds budget"]
@@ -302,7 +320,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# the experiment flags each kind reads; passing any other is refused
+_EXPERIMENT_FLAGS = {
+    experiments.KIND_SAMPLER: "",
+    experiments.KIND_FLATS: "--k --flats-per-trial",
+    experiments.KIND_RESTRICTIONS: "--k --restrictions-per-trial",
+}
+
+
 def cmd_experiment(args) -> int:
+    _refuse_unused(args, "--k --flats-per-trial --restrictions-per-trial",
+                   _EXPERIMENT_FLAGS[args.kind], args.kind)
+    # a per-trial count not passed keeps ExperimentConfig's default
+    per_trial = {k: v for k, v in vars(args).items() if k.endswith("_per_trial") and v is not None}
     master_seed = _resolve_seed(args.master_seed)
     cfg = experiments.ExperimentConfig(
         kind=args.kind,
@@ -311,10 +341,9 @@ def cmd_experiment(args) -> int:
         master_seed=master_seed,
         s=args.s,
         k=args.k,
-        flats_per_trial=args.flats_per_trial,
-        restrictions_per_trial=args.restrictions_per_trial,
         family=args.family,
         inclusion_scale=args.scale,
+        **per_trial,
     )
     report = experiments.run_experiment(cfg)
     print(f"wall clock: {report.wall_clock:.3f}s", file=sys.stderr)
@@ -386,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=1, help="blocks parameter for prop6-family")
+    p.add_argument("--m", type=int, default=None, help="blocks parameter for prop6-family")
     p.add_argument("--s", type=float, default=None, help="sparsity exponent for rand3-sparse")
     p.add_argument("--scale", type=float, default=None, help="inclusion probability scale")
     p.add_argument("--seed", type=_seed_arg, default=None, help="decimal or 0x hex")
@@ -398,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["normality", "thickness", "hitting-set"])
     _add_function_input_args(p)
     p.add_argument("--budget", type=int, default=None, help="hitting-set size budget")
-    p.add_argument("--node-limit", type=int, default=1_000_000)
+    p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
@@ -415,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--flats-per-trial", type=int, default=50)
-    p.add_argument("--restrictions-per-trial", type=int, default=50)
+    p.add_argument("--flats-per-trial", type=int, default=None)
+    p.add_argument("--restrictions-per-trial", type=int, default=None)
     p.add_argument("--family", choices=["rand3-sparse", "rand3-half"], default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--master-seed", type=_seed_arg, default=None)
@@ -439,10 +468,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except AnflatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (AnflatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .anf_core import Anf, TruthTable, truth_table_to_anf, DEFAULT_TABLE_CAP
+from .anf_core import Anf, TruthTable, parse_anf, truth_table_to_anf, DEFAULT_TABLE_CAP
 from .errors import InconsistentError, TooLargeError
 
 
@@ -47,7 +47,7 @@ def prop6_base() -> Anf:
     Every variable occurs in exactly two terms, so two well-chosen zeroes
     kill the whole function and no single zero can do better.
     """
-    return Anf.from_index_terms(6, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)])
+    return parse_anf("x1*x2*x3 + x1*x4*x5 + x2*x4*x6 + x3*x5*x6", 6)
 
 
 def prop6_family(m: int) -> Anf:

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from anflat.anf_core import Anf
 from anflat.errors import DimensionMismatchError
@@ -14,6 +17,14 @@ from anflat.f2_linalg import AffineMap, bit_indices
 from anflat.quadratic import DicksonForm
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
+def pytest_configure(config):
+    """Give Hypothesis a temporary home: it caches constants read from source there
+    at collection, even with no example database, and the checkout stays clean."""
+    home = tempfile.mkdtemp(prefix="anflat-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def load_schema(name: str) -> dict:

@@ -10,6 +10,7 @@ from anflat.anf_core import (
     evaluate_on_points,
     flat_points_matrix,
     format_anf,
+    infer_num_vars,
     parse_anf,
     reindex,
     truth_table_to_anf,
@@ -42,7 +43,11 @@ def test_parse_four_term_cubic():
 def test_parse_errors_carry_position():
     with pytest.raises(AnfSyntaxError) as info:
         parse_anf("x1 + + x2", 2)
-    assert "position" in str(info.value)
+    assert "(at position 4)" in str(info.value)
+    with pytest.raises(IndexOutOfRangeError, match=r"\(at position 10\)"):
+        parse_anf("x1 + x2 * x3", 2)
+    with pytest.raises(TooLargeError, match=r"\(at position 5\)"):
+        parse_anf("x1 + x12345", 2)
     with pytest.raises(IndexOutOfRangeError):
         parse_anf("x3", 2)
     with pytest.raises(IndexOutOfRangeError):
@@ -53,6 +58,13 @@ def test_parse_errors_carry_position():
         parse_anf("", 2)
     with pytest.raises(AnfSyntaxError):
         parse_anf("1*x1", 2)
+
+
+def test_infer_num_vars_reads_the_largest_index():
+    assert infer_num_vars("x2*x10 + x3 + 1") == 10
+    assert infer_num_vars("1") == 1
+    with pytest.raises(TooLargeError, match=r"\(at position 3\)"):
+        infer_num_vars("x1+x00001")
 
 
 def test_format_canonical():
@@ -88,7 +100,7 @@ def test_sparsity_degree_crucial():
     assert parse_anf("x1*x2 + x1", 2).degree() == 2
     assert parse_anf("1", 1).degree() == 0
     assert parse_anf("x1*x2", 2).crucial_count() == 0
-    complete4 = Anf.from_index_terms(4, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+    complete4 = parse_anf("x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4", 4)
     assert complete4.crucial_count() == 4
 
 

@@ -189,6 +189,18 @@ def test_convert_roundtrip(capsys, tmp_path):
     validated(out4, "convert")
 
 
+def test_convert_container_with_bijection_exit_2(capsys, tmp_path):
+    """convert writes the stored g, so a container whose f differs from g is refused."""
+    bijection = {"matrix": ["100", "010", "001"], "offset": "001"}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 3, "anf": "x1*x2", "bijection": bijection}))
+    code, out, err = run_cli(capsys, "convert", "--from", "anf", "--to", "truth-table", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    path.write_text(json.dumps({"n": 3, "anf": "x1*x2", "bijection": None}))
+    code, out, _ = run_cli(capsys, "convert", "--from", "anf", "--to", "truth-table", str(path))
+    assert code == 0 and out == "00010001\n"
+
+
 def test_convert_too_large_exit_2(capsys, tmp_path):
     path = tmp_path / "big.anf"
     path.write_text("x1*x30\n")
@@ -578,6 +590,54 @@ def test_oracle_over_cap_exit_2_without_traceback(tmp_path, kind, n):
         pytest.param(["experiment", "disperser-restrictions", "--family", "rand3-half",
                       "--n", "12", "--s", "2.5", "--trials", "2", "--master-seed", "1"],
                      "takes no family", id="disperser-restrictions-family"),
+        *(
+            pytest.param(["gen", family, *size, "--seed", "3"],
+                         f"--seed does not apply to {family}", id=f"gen-{family}-seed")
+            for family, size in [("majority", ["--n", "5"]), ("all-ones", ["--n", "3"]),
+                                 ("prop6", []), ("prop6-family", []),
+                                 ("complete3", ["--n", "4"])]
+        ),
+        pytest.param(["gen", "majority", "--n", "5", "--m", "2"], "--m does not apply",
+                     id="gen-majority-m"),
+        pytest.param(["gen", "rand3-sparse", "--n", "5", "--s", "2.5", "--seed", "1", "--m", "2"],
+                     "--m does not apply", id="gen-rand3-sparse-m"),
+        pytest.param(["gen", "prop6", "--n", "50", "--seed", "3"], "--n does not apply to prop6",
+                     id="gen-prop6-n"),
+        pytest.param(["gen", "prop6-family", "--n", "30", "--m", "1"], "--n does not apply",
+                     id="gen-prop6-family-n"),
+        pytest.param(["experiment", "sampler-stats", "--n", "10", "--trials", "2",
+                      "--master-seed", "1", "--k", "3"], "--k does not apply",
+                     id="sampler-stats-k"),
+        pytest.param(["experiment", "sampler-stats", "--n", "10", "--trials", "2",
+                      "--master-seed", "1", "--flats-per-trial", "5"],
+                     "--flats-per-trial does not apply", id="sampler-stats-flats-per-trial"),
+        pytest.param(["experiment", "sampler-stats", "--n", "10", "--trials", "2",
+                      "--master-seed", "1", "--restrictions-per-trial", "5"],
+                     "--restrictions-per-trial does not apply",
+                     id="sampler-stats-restrictions-per-trial"),
+        pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
+                      "--trials", "2", "--master-seed", "1", "--restrictions-per-trial", "5"],
+                     "--restrictions-per-trial does not apply",
+                     id="disperser-flats-restrictions-per-trial"),
+        pytest.param(["experiment", "disperser-restrictions", "--n", "12", "--s", "2.5",
+                      "--trials", "2", "--master-seed", "1", "--flats-per-trial", "5"],
+                     "--flats-per-trial does not apply",
+                     id="disperser-restrictions-flats-per-trial"),
+        *(
+            pytest.param(["oracle", kind, str(DATA / "base_cubic.anf"), flag, "1"],
+                         f"{flag} does not apply to oracle {kind}", id=f"oracle-{kind}{flag}")
+            for kind in ("normality", "thickness") for flag in ("--budget", "--node-limit")
+        ),
+        *(
+            pytest.param([*command, str(DATA / "bijection_container.json"), "--n", "6"],
+                         "--n does not apply to a JSON container", id=f"{command[0]}-container-n")
+            for command in (["analyze"], ["find-flat"],
+                            ["verify-flat", "--flat", str(DATA / "bijection_container.json")],
+                            ["oracle", "hitting-set"], ["convert", "--from", "anf", "--to", "anf"])
+        ),
+        pytest.param(["convert", "--from", "truth-table", "--to", "anf", "--n", "2",
+                      str(DATA / "base_cubic.anf")], "--n does not apply to --from truth-table",
+                     id="convert-truth-table-n"),
     ],
 )
 def test_flag_that_does_nothing_exit_2(argv, message):

@@ -15,7 +15,7 @@ from anflat.experiments import random_flat
 from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
 from anflat.generators import Degree3SamplerConfig, prop6_base, random_degree3_sparse
 from anflat.pipeline import (
-    DEFAULT_VERIFY_SEED,
+    VERIFY_SEED,
     _invertible_matrices,
     VERDICT_CONSTANT,
     VERDICT_CONSTANT_LOW_DEGREE,
@@ -177,7 +177,7 @@ def expected_sampled_verdict(func: FunctionInput, flat: Flat, cap: int, claimed)
     Sample i is the flat point whose basis combination is bit 7 - i % 8 of
     byte i // 8 of each drawn column; its value comes from the slow evaluator.
     """
-    rng = np.random.Generator(np.random.PCG64(DEFAULT_VERIFY_SEED))
+    rng = np.random.Generator(np.random.PCG64(VERIFY_SEED))
     zcols = rng.integers(0, 256, size=((cap + 7) // 8, flat.dimension), dtype=np.uint8)
     combos = np.unpackbits(zcols, axis=0)[:cap]
     points = [flat.point_at(sum(1 << int(j) for j in np.flatnonzero(c))) for c in combos]
@@ -210,7 +210,7 @@ def test_verify_flat_sampled_witness_shapes(rng):
         assert ball_size(func, flat) > cap and 1 << flat.dimension > cap
         v = verify_flat(func, flat, claimed=claimed, sample_cap=cap)
         assert (v.kind, v.value, v.witness) == expected_sampled_verdict(func, flat, cap, claimed)
-        assert v.samples == cap and v.seed == DEFAULT_VERIFY_SEED
+        assert v.samples == cap and v.seed == VERIFY_SEED
         shapes.add(v.kind if v.witness is None else len(v.witness))
     assert shapes == {VERDICT_SAMPLED_OK, 1, 2}
 
