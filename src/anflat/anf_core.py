@@ -19,7 +19,8 @@ from .errors import (
     InconsistentError,
     TooLargeError,
 )
-from .f2_linalg import AffineMap, BitVec, Flat, bit_indices, json_field, load_json
+from .f2_linalg import (AffineMap, BitVec, Flat, bit_indices, json_field, load_json,
+                        refuse_unknown_fields)
 
 DEFAULT_TABLE_CAP = 24
 MAX_VARS = 4096  # most variables an input may declare or index
@@ -316,6 +317,9 @@ class FunctionInput:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FunctionInput":
         n = json_field(obj, "n", int, "container")
+        refuse_unknown_fields(obj, "n anf bijection comment", "container")
+        if not isinstance(obj.get("comment", ""), str):
+            raise InconsistentError("container field 'comment' must be a JSON string")
         if n < 0:
             raise InconsistentError("container field 'n' must be a nonnegative integer")
         if n > MAX_VARS:

@@ -102,8 +102,7 @@ def cmd_analyze(args) -> int:
     func = _load_function(args.file, args.format, args.n)
     g = func.g
     n = g.num_vars
-    counts = occurrence_counts(g, set(range(1, n + 1)))
-    occurrences = [counts.get(i, 0) for i in range(1, n + 1)]
+    occurrences = list(occurrence_counts(g).values())
     crucial = g.crucial_count()
     max_occ = max(occurrences, default=0)
     max_var = occurrences.index(max_occ) + 1 if occurrences and max_occ > 0 else None

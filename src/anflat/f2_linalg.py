@@ -56,6 +56,13 @@ def json_field(obj, key: str, kind: type, what: str):
     return value
 
 
+def refuse_unknown_fields(obj: dict, known: str, what: str) -> None:
+    """InconsistentError if obj has a field outside the space-separated `known`."""
+    unknown = sorted(set(obj) - set(known.split()))
+    if unknown:
+        raise InconsistentError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}")
+
+
 @dataclass(frozen=True)
 class BitVec:
     """A vector in F2^length packed into one int."""
@@ -232,6 +239,7 @@ class AffineMap:
     def from_json_dict(cls, obj: dict) -> "AffineMap":
         matrix = json_field(obj, "matrix", list, "bijection")
         offset = json_field(obj, "offset", str, "bijection")
+        refuse_unknown_fields(obj, "matrix offset", "bijection")
         return cls(BitMatrix.from_strings(matrix), BitVec.from_string(offset))
 
 

@@ -2,9 +2,10 @@
 
 The greedy loop repeatedly zeroes the variable occurring in the most
 crucial terms (terms of degree >= 3), breaking ties toward the lowest
-index. Occurrence counts are kept in count buckets and updated only for
-variables that shared a term with the zeroed one, so a full run costs time
-proportional to the total size of the deleted terms.
+index. Zeroing a variable deletes its terms and lowers the counts of the
+variables that shared a deleted crucial term with it; each pick scans the
+nonzero counts once. A full run costs time proportional to the total size
+of the deleted terms plus one scan of the nonzero counts per step.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .anf_core import Anf
-from .errors import NoCrucialTermsError, TooLargeError, VerificationError
+from .errors import InconsistentError, NoCrucialTermsError, TooLargeError, VerificationError
 from .f2_linalg import bit_indices
 
 DEFAULT_NODE_LIMIT = 1_000_000
@@ -39,30 +40,29 @@ class RestrictionTrace:
         ]
 
 
-class StopRule:
-    """Marker base for greedy stop rules."""
-
-
 @dataclass(frozen=True)
-class UntilNoCrucial(StopRule):
+class UntilNoCrucial:
     """Run until no term of degree >= 3 remains."""
 
+    def done(self, state: RestrictionState) -> bool:
+        return state.crucial_count == 0
+
 
 @dataclass(frozen=True)
-class UntilCrucialAtMostThirdOfAlive(StopRule):
+class UntilCrucialAtMostThirdOfAlive:
     """Run until the crucial count is at most a third of the alive count."""
 
+    def done(self, state: RestrictionState) -> bool:
+        return 3 * state.crucial_count <= len(state.alive)
 
-def occurrence_counts(f: Anf, alive: set[int]) -> dict[int, int]:
-    """For each alive variable, the number of crucial terms containing it."""
-    counts = {v: 0 for v in alive}
+
+def occurrence_counts(f: Anf) -> dict[int, int]:
+    """For each variable x1..xn, the number of crucial terms containing it."""
+    counts = dict.fromkeys(range(1, f.num_vars + 1), 0)
     for m in f.terms:
-        if m.bit_count() < 3:
-            continue
-        for j in bit_indices(m):
-            var = j + 1
-            if var in counts:
-                counts[var] += 1
+        if m.bit_count() >= 3:
+            for j in bit_indices(m):
+                counts[j + 1] += 1
     return counts
 
 
@@ -72,101 +72,57 @@ class RestrictionState:
     def __init__(self, f: Anf):
         self.num_vars = f.num_vars
         self.trace = RestrictionTrace()
+        self.crucial_count = f.crucial_count()
         self._terms: set[int] = set(f.terms)
-        self._alive: set[int] = set(range(1, f.num_vars + 1))
-        self._crucial_count = f.crucial_count()
-        # var -> all current terms containing it
-        self._var_terms: dict[int, set[int]] = {v: set() for v in self._alive}
+        # alive variable -> the current terms containing it
+        self._var_terms: dict[int, set[int]] = {v: set() for v in range(1, f.num_vars + 1)}
         for m in self._terms:
             for j in bit_indices(m):
                 self._var_terms[j + 1].add(m)
-        # occurrence counts over crucial terms, kept in max buckets
-        self._occ: dict[int, int] = occurrence_counts(f, self._alive)
-        self._buckets: dict[int, set[int]] = {}
-        for v, c in self._occ.items():
-            self._buckets.setdefault(c, set()).add(v)
-        self._max_occ = max(self._buckets) if self._buckets else 0
-        self._cached_current: Optional[Anf] = Anf(f.num_vars, frozenset(self._terms))
+        # alive variable -> its crucial occurrence count; nonzero counts only, in
+        # ascending variable order, since counts only fall and zeros are deleted
+        self._occ: dict[int, int] = {v: c for v, c in occurrence_counts(f).items() if c}
 
     @property
     def alive(self) -> frozenset[int]:
-        return frozenset(self._alive)
-
-    @property
-    def crucial_count(self) -> int:
-        return self._crucial_count
+        return frozenset(self._var_terms)
 
     @property
     def current(self) -> Anf:
-        if self._cached_current is None:
-            self._cached_current = Anf(self.num_vars, frozenset(self._terms))
-        return self._cached_current
-
-    def _move_bucket(self, v: int, old: int, new: int) -> None:
-        self._buckets[old].discard(v)
-        if not self._buckets[old]:
-            del self._buckets[old]
-        self._buckets.setdefault(new, set()).add(v)
-
-    def _pick_variable(self) -> tuple[int, int]:
-        while self._max_occ > 0 and self._max_occ not in self._buckets:
-            self._max_occ -= 1
-        occ = self._max_occ
-        return min(self._buckets[occ]), occ
-
-    def kill_variable(self, v: int) -> None:
-        """Zero variable v, removing its terms and updating counts."""
-        for m in list(self._var_terms[v]):
-            crucial = m.bit_count() >= 3
-            if crucial:
-                self._crucial_count -= 1
-            self._terms.discard(m)
-            for j in bit_indices(m):
-                u = j + 1
-                if u == v:
-                    continue
-                self._var_terms[u].discard(m)
-                if crucial:
-                    old = self._occ[u]
-                    self._occ[u] = old - 1
-                    self._move_bucket(u, old, old - 1)
-        occ_v = self._occ.pop(v)
-        self._buckets[occ_v].discard(v)
-        if not self._buckets[occ_v]:
-            del self._buckets[occ_v]
-        del self._var_terms[v]
-        self._alive.discard(v)
-        self._cached_current = None
+        return Anf(self.num_vars, frozenset(self._terms))
 
 
 def greedy_step(state: RestrictionState) -> RestrictionState:
     """Zero the variable hit by the most crucial terms (lowest index wins)."""
-    m = state.crucial_count
+    m, counts = state.crucial_count, state._occ
     if m == 0:
         raise NoCrucialTermsError("no crucial terms remain")
-    v, occ = state._pick_variable()
-    n_alive = len(state._alive)
-    if occ < -(-3 * m // n_alive):
+    v = max(counts, key=counts.get)  # the first maximum: the lowest index wins a tie
+    occ = counts[v]
+    if occ < -(-3 * m // len(state._var_terms)):
         raise VerificationError(f"greedy pick x{v} occurs {occ} times, below the pigeonhole floor")
     state.trace.steps.append(RestrictionStep(var=v, crucial_before=m, occ=occ))
-    state.kill_variable(v)
+    del counts[v]
+    for t in state._var_terms.pop(v):
+        state._terms.remove(t)
+        crucial = t.bit_count() >= 3
+        state.crucial_count -= crucial
+        for j in bit_indices(t ^ (1 << (v - 1))):
+            u = j + 1
+            state._var_terms[u].discard(t)
+            if crucial:
+                counts[u] -= 1
+                if not counts[u]:
+                    del counts[u]
     return state
 
 
-def _stop(state: RestrictionState, rule: StopRule) -> bool:
-    if state.crucial_count == 0:
-        return True
-    if isinstance(rule, UntilNoCrucial):
-        return False
-    if isinstance(rule, UntilCrucialAtMostThirdOfAlive):
-        return 3 * state.crucial_count <= len(state._alive)
-    raise TypeError(f"unknown stop rule: {rule!r}")
-
-
-def greedy_restrict(f: Anf, rule: StopRule) -> RestrictionState:
+def greedy_restrict(
+    f: Anf, rule: UntilNoCrucial | UntilCrucialAtMostThirdOfAlive
+) -> RestrictionState:
     """Iterate greedy steps until the rule holds; always terminates."""
     state = RestrictionState(f)
-    while not _stop(state, rule):
+    while not rule.done(state):
         greedy_step(state)
     return state
 
@@ -180,8 +136,13 @@ def exhaustive_hitting_set(
 
     Branch and bound over the crucial terms, branching on the variables of
     the highest-degree uncovered term. Returns None when the optimum
-    exceeds the budget; raises TooLargeError past node_limit search nodes.
+    exceeds the budget; raises TooLargeError past node_limit search nodes,
+    and InconsistentError on a negative budget or a node limit below 1.
     """
+    if budget is not None and budget < 0:
+        raise InconsistentError(f"hitting-set budget must be nonnegative, not {budget}")
+    if node_limit < 1:
+        raise InconsistentError(f"hitting-set node limit must be at least 1, not {node_limit}")
     crucial = sorted((m for m in f.terms if m.bit_count() >= 3), key=lambda m: (-m.bit_count(), m))
     if not crucial:
         return set()

@@ -15,6 +15,7 @@ from anflat.anf_core import Anf
 from anflat.errors import DimensionMismatchError
 from anflat.f2_linalg import AffineMap, bit_indices
 from anflat.quadratic import DicksonForm
+from anflat.restriction import UntilCrucialAtMostThirdOfAlive
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -102,6 +103,31 @@ def slow_sample_degree3(n: int, p: float, rng: np.random.Generator) -> Anf:
         if u < p
     ]
     return Anf(n, frozenset(masks))
+
+
+def slow_greedy(f: Anf, rule) -> tuple[list[tuple[int, int, int]], set[int], Anf]:
+    """Greedy 0-restriction recounted from scratch at every step.
+
+    Returns the (var, crucial_before, occ) steps, the alive variables and
+    the residual. Each step counts every alive variable's crucial terms
+    anew and zeroes the lowest-index variable of the largest count. The
+    stop rules are restated here, not read off `rule.done`.
+    """
+    terms = set(f.terms)
+    alive = set(range(1, f.num_vars + 1))
+    trace = []
+    third = isinstance(rule, UntilCrucialAtMostThirdOfAlive)
+    while True:
+        crucial = [m for m in terms if m.bit_count() >= 3]
+        if not crucial or (third and 3 * len(crucial) <= len(alive)):
+            break
+        counts = {v: sum(m >> (v - 1) & 1 for m in crucial) for v in alive}
+        top = max(counts.values())
+        v = min(u for u in alive if counts[u] == top)
+        trace.append((v, len(crucial), top))
+        terms = {m for m in terms if not m >> (v - 1) & 1}
+        alive.remove(v)
+    return trace, alive, Anf(f.num_vars, frozenset(terms))
 
 
 def compose_affine(f: Anf, a: AffineMap) -> Anf:

@@ -420,6 +420,17 @@ def test_find_flat_golden_stdout(capsys, name, extra):
             '{"n": 2, "anf": "x1", "bijection": {"matrix": ["10", "01"]}}',
             id="bijection-no-offset",
         ),
+        pytest.param(
+            "container",
+            '{"n": 2, "anf": "x1", "bijecton": {"matrix": ["10", "01"], "offset": "00"}}',
+            id="container-unknown-key",
+        ),
+        pytest.param(
+            "container",
+            '{"n": 2, "anf": "x1", "bijection": {"matrix": ["10", "01"], "offset": "00", "x": 1}}',
+            id="bijection-unknown-key",
+        ),
+        pytest.param("container", '{"n": 2, "anf": "x1", "comment": 5}', id="comment-not-string"),
         pytest.param("flat", '{"offset": "00"}', id="flat-no-basis"),
     ],
 )
@@ -544,12 +555,17 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
                       "--trials", "2", "--master-seed", "1",
                       "--restrictions-per-trial", "-1"],
                      "restrictions per trial", id="disperser-restrictions-negative-per-trial"),
+        pytest.param(["oracle", "hitting-set", str(DATA / "base_cubic.anf"), "--budget", "-1"],
+                     "budget must be nonnegative", id="hitting-set-negative-budget"),
+        pytest.param(["oracle", "hitting-set", str(DATA / "base_cubic.anf"), "--node-limit", "0"],
+                     "node limit must be at least 1", id="hitting-set-zero-node-limit"),
     ],
 )
 def test_generator_size_exit_2_without_traceback(argv, message):
-    """A family without --n or with n outside [3, cap], or an experiment with n past
-    the cap or fewer than one flat or restriction per trial, ends with exit 2 and
-    a message naming the fault."""
+    """A family without --n or with n outside [3, cap], an experiment with n past
+    the cap or fewer than one flat or restriction per trial, or a hitting-set search
+    with a negative budget or no nodes, ends with exit 2 and a message naming the
+    fault."""
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr

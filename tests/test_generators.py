@@ -58,7 +58,7 @@ def test_base_cubic_metrics():
     assert f.degree() == 3
     from anflat.restriction import occurrence_counts
 
-    assert occurrence_counts(f, set(range(1, 7))) == {v: 2 for v in range(1, 7)}
+    assert occurrence_counts(f) == {v: 2 for v in range(1, 7)}
 
 
 def test_family_shape():

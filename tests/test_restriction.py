@@ -1,9 +1,11 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anflat.anf_core import Anf, parse_anf
-from anflat.errors import NoCrucialTermsError, TooLargeError, VerificationError
+from anflat.errors import InconsistentError, NoCrucialTermsError, TooLargeError, VerificationError
 from anflat.generators import (
     Degree3SamplerConfig,
     complete_degree3,
@@ -20,6 +22,7 @@ from anflat.restriction import (
     greedy_step,
     occurrence_counts,
 )
+from conftest import slow_greedy
 
 
 def brute_force_min_hitting_set(f: Anf) -> int:
@@ -42,10 +45,10 @@ def brute_force_min_hitting_set(f: Anf) -> int:
 
 
 def test_occurrence_counts_examples():
-    assert occurrence_counts(prop6_base(), set(range(1, 7))) == {v: 2 for v in range(1, 7)}
-    assert occurrence_counts(complete_degree3(4), set(range(1, 5))) == {v: 3 for v in range(1, 5)}
+    assert occurrence_counts(prop6_base()) == {v: 2 for v in range(1, 7)}
+    assert occurrence_counts(complete_degree3(4)) == {v: 3 for v in range(1, 5)}
     quad = parse_anf("x1*x2 + x3", 3)
-    assert occurrence_counts(quad, {1, 2, 3}) == {1: 0, 2: 0, 3: 0}
+    assert occurrence_counts(quad) == {1: 0, 2: 0, 3: 0}
 
 
 def test_greedy_step_trace_on_base_cubic():
@@ -67,11 +70,30 @@ def test_greedy_step_requires_crucial_terms():
 
 def test_greedy_step_pigeonhole_check_raises(monkeypatch):
     # prop6 has 4 crucial terms on 6 variables, so the floor is 2
-    monkeypatch.setattr(RestrictionState, "_pick_variable", lambda self: (1, 1))
     state = RestrictionState(prop6_base())
+    monkeypatch.setattr(state, "_occ", {1: 1})
     with pytest.raises(VerificationError, match="pigeonhole"):
         greedy_step(state)
     assert len(state.trace) == 0
+
+
+@st.composite
+def small_anfs(draw):
+    """An ANF on up to 14 variables with up to 30 terms of degree 0 to 5."""
+    n = draw(st.integers(1, 14))
+    term = st.sets(st.integers(0, n - 1), max_size=5).map(lambda js: sum(1 << j for j in js))
+    return Anf(n, frozenset(draw(st.sets(term, max_size=30))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_anfs(), st.sampled_from([UntilNoCrucial(), UntilCrucialAtMostThirdOfAlive()]))
+def test_greedy_restrict_matches_recount_from_scratch(f, rule):
+    state = greedy_restrict(f, rule)
+    trace, alive, residual = slow_greedy(f, rule)
+    assert [(s.var, s.crucial_before, s.occ) for s in state.trace.steps] == trace
+    assert state.alive == alive
+    assert state.current == residual
+    assert state.crucial_count == residual.crucial_count()
 
 
 def test_greedy_restrict_base_cubic():
@@ -172,12 +194,17 @@ def test_hitting_set_budget():
     f = complete_degree3(5)  # optimum 3: zeroing any 2 leaves a term
     assert exhaustive_hitting_set(f, budget=2) is None
     assert len(exhaustive_hitting_set(f, budget=3)) == 3
+    assert exhaustive_hitting_set(f, budget=0) is None
+    with pytest.raises(InconsistentError, match="budget"):
+        exhaustive_hitting_set(f, budget=-1)
 
 
 def test_hitting_set_node_limit():
     f = complete_degree3(9)
     with pytest.raises(TooLargeError):
         exhaustive_hitting_set(f, node_limit=5)
+    with pytest.raises(InconsistentError, match="node limit"):
+        exhaustive_hitting_set(f, node_limit=0)
 
 
 def test_greedy_dominates_never_beats_exact(rng):
