@@ -74,13 +74,6 @@ class Verdict:
         return out
 
 
-def _g_side_flat(func: FunctionInput, flat: Flat) -> Flat:
-    """Pull a flat for f back to g-coordinates (f = g o A^-1, so use A^-1)."""
-    if func.bijection is None:
-        return flat
-    return flat.map_through(func.bijection.inverse())
-
-
 # bit j of t for the points t = 0..7 of one packed byte, point 0 in the top bit
 _COUNTING_LOW_BYTES = (0x55, 0x33, 0x0F)
 
@@ -116,74 +109,13 @@ def _ball_columns(r: int, d: int) -> np.ndarray:
     return zcols
 
 
-@dataclass(frozen=True, eq=False)
-class _SupportView:
-    """A flat for f seen on the support S of g (the union of its monomials).
-
-    g depends only on y|_S, so f at flat.point_at(i) is h at offset plus
-    rows[j] for every bit j of i (mod 2), where h is g rewritten on S and
-    offset and rows are the g-side offset and basis projected onto S.
-    """
-
-    flat: Flat
-    h: Anf
-    offset: np.ndarray
-    rows: np.ndarray
-
-    def values(self, indices, zcols: np.ndarray, count: int) -> np.ndarray:
-        """f at the first count points packed in zcols, whose column j is basis[indices[j]].
-
-        The points are bit-packed along axis 0, so the 0/1 combination
-        matrix times the projected basis is one XOR of packed columns per
-        basis vector.
-        """
-        cols = np.zeros((zcols.shape[0], self.h.num_vars), dtype=np.uint8)
-        for j, i in enumerate(indices):
-            cols[:, np.flatnonzero(self.rows[i])] ^= zcols[:, j : j + 1]
-        cols[:, np.flatnonzero(self.offset)] ^= np.uint8(0xFF)
-        return np.unpackbits(evaluate_packed_columns(self.h, cols), count=count)
-
-    def point(self, indices, zcols: np.ndarray, point: int) -> BitVec:
-        """The f-side flat point packed at position point of zcols."""
-        coords = np.flatnonzero((zcols[point >> 3] >> (7 - (point & 7))) & 1)
-        return self.flat.point_at(sum(1 << indices[j] for j in coords))
-
-
-def _check_constant(
-    view: _SupportView,
-    indices,
-    zcols: np.ndarray,
-    count: int,
-    kind: str,
-    samples: Optional[int] = None,
-    reference: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Verdict:
-    """Constant if every evaluated point equals the reference (default: point 0).
-
-    Otherwise the witness is the first point equal to the reference and the
-    first that differs, or the differing point alone when none is equal.
-    """
-    values = view.values(indices, zcols, count)
-    if reference is None:
-        reference = int(values[0])
-    diff = np.flatnonzero(values != reference)
-    if diff.size == 0:
-        return Verdict(kind=kind, value=reference, samples=samples, seed=seed)
-    witness = (view.point(indices, zcols, int(diff[0])),)
-    same = np.flatnonzero(values == reference)
-    if same.size:
-        witness = (view.point(indices, zcols, int(same[0])),) + witness
-    return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness, samples=samples, seed=seed)
-
-
 def verify_flat(
     func: FunctionInput,
     flat: Flat,
     claimed: Optional[int] = None,
     sample_cap: int = DEFAULT_SAMPLE_CAP,
 ) -> Verdict:
-    """Check that f is constant on the flat.
+    """Check that f is constant on the flat, evaluating at most sample_cap points.
 
     Points are evaluated as g at the preimage coordinates, so no symbolic
     composition happens regardless of the bijection. g depends only on
@@ -197,42 +129,69 @@ def verify_flat(
       those coordinates, and such a function is constant iff it is
       constant on the Hamming ball of radius d (docs/design-notes.md);
     - when that ball has more than sample_cap points, sample_cap uniform
-      points drawn from a seeded generator.
+      points drawn from a seeded generator, compared with claimed.
+
+    The reference value is the claimed one in the sampled check when
+    given, else that of the first point. A witness is the first point equal to the reference and
+    the first that differs, or the differing point alone.
     """
     if flat.ambient != func.num_vars:
         raise DimensionMismatchError("flat ambient does not match the function")
+    if sample_cap < 1:
+        raise InconsistentError("sample cap must be positive")
+    if sample_cap > DEFAULT_SAMPLE_CAP:
+        raise InconsistentError(f"sample cap must be at most {DEFAULT_SAMPLE_CAP}")
     g = func.g
     k = flat.dimension
-    g_flat = _g_side_flat(func, flat)
+    # f = g o A^-1, so g is evaluated on the flat mapped through A^-1
+    g_flat = flat if func.bijection is None else flat.map_through(func.bijection.inverse())
     support_mask = 0
     for m in g.terms:
         support_mask |= m
     support = bit_indices(support_mask)
     rows = bitvec_rows([g_flat.offset, *g_flat.basis], flat.ambient)[:, support]
-    view = _SupportView(flat, reindex(g, [s + 1 for s in support]), rows[0], rows[1:])
+
+    # column j of zcols packs, for every point, the bit of basis vector indices[j]
+    reference = seed = samples = None
     if (1 << k) <= sample_cap:
-        return _check_constant(view, range(k), _counting_columns(k), 1 << k, VERDICT_CONSTANT)
-    reduced: dict[int, int] = {}
-    independent = [
-        j for j, b in enumerate(g_flat.basis) if insert_independent(reduced, b.bits & support_mask)
-    ]
-    r = len(independent)
-    d = min(g.degree(), r)
-    ball = sum(math.comb(r, w) for w in range(d + 1))
-    if ball <= sample_cap:
-        zcols = _ball_columns(r, d)
-        return _check_constant(
-            view, independent, zcols, ball, VERDICT_CONSTANT_LOW_DEGREE, samples=ball
-        )
-    if sample_cap < 1:
-        raise InconsistentError("sample cap must be positive")
-    rng = np.random.Generator(np.random.PCG64(VERIFY_SEED))
-    # flat-coordinate bits of all samples, packed along the point axis
-    zcols = rng.integers(0, 256, size=((sample_cap + 7) // 8, k), dtype=np.uint8)
-    return _check_constant(
-        view, range(k), zcols, sample_cap, VERDICT_SAMPLED_OK,
-        samples=sample_cap, reference=claimed, seed=VERIFY_SEED,
-    )
+        kind, indices, zcols, count = VERDICT_CONSTANT, range(k), _counting_columns(k), 1 << k
+    else:
+        reduced: dict[int, int] = {}
+        indices = [j for j, b in enumerate(g_flat.basis)
+                   if insert_independent(reduced, b.bits & support_mask)]
+        r = len(indices)
+        d = min(g.degree(), r)
+        count = sum(math.comb(r, w) for w in range(d + 1))
+        if count <= sample_cap:
+            kind, zcols = VERDICT_CONSTANT_LOW_DEGREE, _ball_columns(r, d)
+        else:
+            kind, indices, count = VERDICT_SAMPLED_OK, range(k), sample_cap
+            reference, seed = claimed, VERIFY_SEED
+            rng = np.random.Generator(np.random.PCG64(VERIFY_SEED))
+            zcols = rng.integers(0, 256, size=((sample_cap + 7) // 8, k), dtype=np.uint8)
+        samples = count
+
+    # the points on S: the projected offset plus the projected basis vectors
+    # their combinations select, one XOR of packed columns per basis vector
+    cols = np.zeros((zcols.shape[0], len(support)), dtype=np.uint8)
+    for j, i in enumerate(indices):
+        cols[:, np.flatnonzero(rows[1 + i])] ^= zcols[:, j : j + 1]
+    cols[:, np.flatnonzero(rows[0])] ^= np.uint8(0xFF)
+    h = reindex(g, [s + 1 for s in support])
+    values = np.unpackbits(evaluate_packed_columns(h, cols), count=count)
+    if reference is None:
+        reference = int(values[0])
+    differ = np.flatnonzero(values != reference)
+    if differ.size == 0:
+        return Verdict(kind=kind, value=reference, samples=samples, seed=seed)
+
+    def point(p: int) -> BitVec:
+        coords = np.flatnonzero((zcols[p >> 3] >> (7 - (p & 7))) & 1)
+        return flat.point_at(sum(1 << indices[j] for j in coords))
+
+    same = np.flatnonzero(values == reference)
+    witness = tuple(point(int(p)) for p in (*same[:1], differ[0]))
+    return Verdict(kind=VERDICT_NOT_CONSTANT, witness=witness, samples=samples, seed=seed)
 
 
 # the verdicts find_constant_flat accepts, and the report mode each becomes

@@ -408,6 +408,47 @@ def test_find_flat_golden_stdout(capsys, name, extra):
     assert out == golden.read_text()
 
 
+# wide_type2 at n = 9 is constant 0 on this flat; its basis projects onto the
+# support x1..x6 with rank 3, so its Hamming ball of radius 3 holds 8 points
+WIDE_FLAT = ["000100000", "000010000", "101000000", "000101000",
+             "000000100", "000000010", "000000001"]
+
+# verify-flat stdout recorded before the three checks were merged into one body:
+# (function file, flat lines, extra flags)
+GOLDEN_VERIFY = {
+    "constant": ("base_cubic.anf", ["000000", "010000", "001000", "000100", "000010"], []),
+    "constant-low-degree": ("wide_type2.anf", WIDE_FLAT, ["--n", "9", "--samples", "8"]),
+    "sampled-ok": ("wide_type2.anf", WIDE_FLAT,
+                   ["--n", "9", "--samples", "7", "--constant", "0"]),
+    # exhaustive, behind the bijection
+    "not-constant-pair": ("bijection_container.json",
+                          ["010101", "101000", "001111", "100000"], []),
+    # low-degree; the basis vectors that vanish on the support come first
+    "not-constant-pair-low-degree": (
+        "wide_type2.anf",
+        ["000100000", "000000100", "000000010", "000000001", "100010000", "101000000",
+         "000101000"],
+        ["--n", "9", "--samples", "60"],
+    ),
+    # sampled, claiming the value no sample takes
+    "not-constant-lone": ("wide_type2.anf", WIDE_FLAT,
+                          ["--n", "9", "--samples", "7", "--constant", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_VERIFY))
+@pytest.mark.parametrize("suffix, extra", [("json", ["--json"]), ("txt", [])])
+def test_verify_flat_golden_stdout(capsys, tmp_path, name, suffix, extra):
+    function, flat, flags = GOLDEN_VERIFY[name]
+    flat_path = tmp_path / "flat.txt"
+    flat_path.write_text("\n".join(flat) + "\n")
+    code, out, _ = run_cli(
+        capsys, "verify-flat", str(DATA / function), "--flat", str(flat_path), *flags, *extra
+    )
+    assert code == (4 if name.startswith("not-constant") else 0)
+    assert out == (DATA / "golden" / f"{name}.verify-flat.{suffix}").read_text()
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -586,6 +627,23 @@ def test_oracle_over_cap_exit_2_without_traceback(tmp_path, kind, n):
     proc = run_capped(["oracle", kind, str(path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cap", [0, -1, (1 << 20) + 1, 1 << 40])
+@pytest.mark.parametrize("command", ["find-flat", "verify-flat"])
+def test_sample_cap_outside_range_exit_2_without_traceback(tmp_path, command, cap):
+    """--samples outside [1, 2^20] is refused before any point is built, here on
+    x1*x2*x3 at n = 40, whose whole space verify-flat is given as the flat."""
+    path = tmp_path / "f.anf"
+    path.write_text("x1*x2*x3\n")
+    flat = tmp_path / "flat.txt"
+    flat.write_text("\n".join("".join("1" if j == i else "0" for j in range(40))
+                              for i in range(-1, 40)) + "\n")
+    argv = [command, str(path), "--n", "40", "--samples", str(cap)]
+    proc = run_capped(argv + (["--flat", str(flat)] if command == "verify-flat" else []))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "sample cap" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

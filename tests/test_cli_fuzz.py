@@ -3,7 +3,8 @@
 Each example writes one input (ANF text, a JSON container or a truth
 table, perhaps with characters inserted, deleted or replaced) and runs
 one of analyze, find-flat, convert, oracle and verify-flat on it through
-`anflat.cli.main` in this process. Every run must end with exit 0, 2 or
+`anflat.cli.main` in this process, find-flat and verify-flat with a
+drawn --samples cap or none. Every run must end with exit 0, 2 or
 4: an escaping exception fails the example, and exit 3 would mean an
 internal check failed. Derandomized, with no example database.
 """
@@ -73,6 +74,11 @@ def cli_case(draw):
     declared = draw(st.sampled_from([None, n, n, draw(st.integers(0, 8))]))
     if form == "anf" and declared is not None:
         argv = [*argv, "--n", str(declared)]
+    # small caps send these flats of at most 2^8 points through the low-degree
+    # and sampled checks; caps outside [1, 2^20] must be refused
+    samples = draw(st.sampled_from([None, -1, 0, 1, 2, 3, 7, 1 << 20, (1 << 20) + 1, 1 << 40]))
+    if argv[0] in ("find-flat", "verify-flat") and samples is not None:
+        argv = [*argv, "--samples", str(samples)]
     return argv, text, flat
 
 

@@ -143,14 +143,21 @@ def test_verify_flat_verdicts():
     assert v.kind == VERDICT_CONSTANT and v.value == 1
 
 
-def ball_size(func: FunctionInput, flat: Flat) -> int:
-    """Points of the Hamming ball the low-degree check evaluates, from first principles."""
+def ball_rank_and_radius(func: FunctionInput, flat: Flat) -> tuple[int, int]:
+    """(r, d) such that the low-degree check evaluates the Hamming ball of
+    radius d in F2^r, from first principles."""
     support = 0
     for m in func.g.terms:
         support |= m
     g_flat = flat if func.bijection is None else flat.map_through(func.bijection.inverse())
     r = rank(BitMatrix.from_rows([b.bits & support for b in g_flat.basis], flat.ambient))
-    return sum(math.comb(r, w) for w in range(min(func.g.degree(), r) + 1))
+    return r, min(func.g.degree(), r)
+
+
+def ball_size(func: FunctionInput, flat: Flat) -> int:
+    """Points of the Hamming ball the low-degree check evaluates."""
+    r, d = ball_rank_and_radius(func, flat)
+    return sum(math.comb(r, w) for w in range(d + 1))
 
 
 def test_verify_flat_sampled_mode(rng):
@@ -216,7 +223,8 @@ def test_verify_flat_sampled_witness_shapes(rng):
 
 
 def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
-    """None when the ball exceeds 2^k - 1 points, else whether f is constant on the flat.
+    """None when the ball exceeds 2^k - 1 points, else whether f is constant
+    on the flat and the radius of the ball.
 
     The exhaustive verdict is checked against the slow evaluator first;
     the low-degree check, forced by a cap of 2^k - 1, must then agree with
@@ -236,6 +244,7 @@ def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
         assert exact.witness == (points[0], points[first_other])
 
     ball = ball_size(func, flat)
+    _, radius = ball_rank_and_radius(func, flat)
     low = verify_flat(func, flat, sample_cap=(1 << flat.dimension) - 1)
     if ball >= 1 << flat.dimension:
         assert low.seed is not None  # the sampled fallback ran instead
@@ -243,20 +252,26 @@ def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
     assert low.seed is None and low.samples == ball
     if exact.kind == VERDICT_CONSTANT:
         assert low.kind == VERDICT_CONSTANT_LOW_DEGREE and low.value == exact.value
-        return True
+        return True, radius
     assert low.kind == VERDICT_NOT_CONSTANT
     a, b = low.witness
     assert a == points[0] and func.evaluate(a) != func.evaluate(b)
-    return False
+    return False, radius
 
 
 def test_low_degree_verification_matches_exhaustive(rng):
-    """Hamming-ball verification agrees with exhaustive evaluation on every flat it checks."""
+    """Hamming-ball verification agrees with exhaustive evaluation on every flat it
+    checks, for g of degree up to 3 and up to 5."""
     outcomes = []
     for trial in range(200):
         n = int(rng.integers(1, 11))
         rate = (0.03, 0.1, 0.2)[trial % 3]
-        g = Anf(n, frozenset(m for m in range(1 << n) if m.bit_count() <= 3 and rng.random() < rate))
+        # every other pair of trials adds terms of degree 4 and 5, four times sparser
+        degree = (3, 5)[trial // 2 % 2]
+        g = Anf(n, frozenset(
+            m for m in range(1 << n) if m.bit_count() <= degree
+            and rng.random() < (rate if m.bit_count() <= 3 else rate / 4)
+        ))
         bijection = random_affine_map(n, rng) if trial % 2 else None
         func = FunctionInput(g, bijection)
         flats = [find_constant_flat(func).flat]
@@ -264,9 +279,9 @@ def test_low_degree_verification_matches_exhaustive(rng):
         for flat in flats:
             if flat.dimension == 0:
                 continue
-            constant = check_low_degree_against_exhaustive(func, flat)
-            outcomes.append(constant)
-            if constant:
+            outcome = check_low_degree_against_exhaustive(func, flat)
+            outcomes.append(outcome)
+            if outcome and outcome[0]:
                 # one flipped term of degree <= 3 usually breaks constancy on the flat
                 for _ in range(3):
                     term = 0
@@ -275,8 +290,10 @@ def test_low_degree_verification_matches_exhaustive(rng):
                     flipped = FunctionInput(Anf(n, g.terms ^ {term}), bijection)
                     outcomes.append(check_low_degree_against_exhaustive(flipped, flat))
     ran = [c for c in outcomes if c is not None]
+    constant = [c for c, _ in ran]
     assert len(ran) >= 3000
-    assert ran.count(True) >= 800 and ran.count(False) >= 2000
+    assert constant.count(True) >= 800 and constant.count(False) >= 2000
+    assert max(radius for _, radius in ran) >= 4
 
 
 def test_brute_force_normality_examples():
