@@ -223,6 +223,26 @@ def test_gen_families(capsys):
     assert payload["anf"].count("*") == 8
 
 
+# gen --json stdout recorded before the families were declared in one table
+GOLDEN_GEN = {
+    "majority": ["--n", "5"],
+    "all-ones": ["--n", "3"],
+    "prop6": [],
+    "prop6-family": [],
+    "complete3": ["--n", "5"],
+    "rand3-half": ["--n", "8", "--seed", "3"],
+    "rand3-sparse": ["--n", "12", "--s", "2.5", "--seed", "0x7"],
+}
+
+
+@pytest.mark.parametrize("family", list(GOLDEN_GEN))
+def test_gen_golden_json(capsys, family):
+    code, out, _ = run_cli(capsys, "gen", family, *GOLDEN_GEN[family], "--json")
+    assert code == 0
+    assert out == (DATA / "golden" / f"{family}.gen.json").read_text()
+    validated(out, "gen")
+
+
 def test_gen_seeded_reproducibility(capsys):
     args = ("gen", "rand3-sparse", "--n", "20", "--s", "2.5", "--seed", "7")
     code, out1, _ = run_cli(capsys, *args)
@@ -508,6 +528,15 @@ GOLDEN_EXPERIMENTS = {
                              "--master-seed", "7"],
     "sampler-stats-half": ["sampler-stats", "--family", "rand3-half", "--n", "10",
                            "--trials", "20", "--master-seed", "42"],
+    # recorded before the kinds were declared in one table: every flag that has a
+    # default is left out (disperser-flats keeps --k, as its default k always
+    # exceeds n or the flat cap)
+    "disperser-flats-defaults": ["disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
+                                 "--trials", "3", "--master-seed", "13"],
+    "disperser-restrictions-defaults": ["disperser-restrictions", "--n", "12", "--s", "2.5",
+                                        "--trials", "3", "--master-seed", "17"],
+    "sampler-stats-defaults": ["sampler-stats", "--n", "12", "--s", "2.5", "--trials", "3",
+                               "--master-seed", "19"],
 }
 
 
