@@ -72,11 +72,21 @@ def _check_var_cap(n: int) -> int:
     return n
 
 
-def _refuse_unused(args, flags: str, used: str, where: str) -> None:
-    """Refuse each of the `flags` that was passed but is not among those `where` uses."""
-    for flag in flags.split():
-        if flag not in used.split() and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise InconsistentError(f"{flag} does not apply to {where}")
+class _Given(argparse.Action):
+    """Store the value and note the flag as given, so a flag that would do nothing
+    can be refused by name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {**getattr(namespace, "given", {}), self.dest: option_string}
+
+
+def _refuse_unused(args, reads, where: str, notes: dict | None = None) -> None:
+    """Refuse each given flag whose field is not among those `where` reads."""
+    for field, flag in getattr(args, "given", {}).items():
+        if field not in reads:
+            note = (notes or {}).get(field, "")
+            raise InconsistentError(f"{flag} does not apply to {where}{note}")
 
 
 def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput:
@@ -198,7 +208,7 @@ def cmd_convert(args) -> int:
             raise InconsistentError("convert writes g, not f = g o A^-1: give a null bijection")
         f = func.g
     else:
-        _refuse_unused(args, "--n", "", "--from truth-table")
+        _refuse_unused(args, (), "--from truth-table")
         f = truth_table_to_anf(TruthTable.from_string(_read_input(args.file)))
     if args.target == "anf":
         if args.json:
@@ -221,55 +231,39 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-# the gen flags each family reads; passing any other is refused
-_GEN_FLAGS = {
-    "majority": "--n",
-    "all-ones": "--n",
-    "prop6": "",
-    "prop6-family": "--m",
-    "complete3": "--n",
-    "rand3-half": "--n --seed",
-    "rand3-sparse": "--n --s --scale --seed",
+def _sample(args, s: float, scale: float):
+    """rand3-half or rand3-sparse; the seed drawn when none was given goes into args."""
+    if args.seed is not None and args.seed < 0:
+        raise InconsistentError(f"--seed {args.seed} is negative")
+    args.seed = _resolve_seed(args.seed)
+    cfg = generators.Degree3SamplerConfig(n=args.n, s=s, seed=args.seed, inclusion_scale=scale)
+    return generators.random_degree3_sparse(cfg)
+
+
+# gen family -> (the fields it reads, its builder); its --json document echoes them
+GEN_FAMILIES = {
+    "majority": (("n",), lambda args: generators.majority(args.n)),
+    "all-ones": (("n",), lambda args: generators.all_ones_indicator(args.n)),
+    "prop6": ((), lambda args: generators.prop6_base()),
+    "prop6-family": (("m",), lambda args: generators.prop6_family(args.m)),
+    "complete3": (("n",), lambda args: generators.complete_degree3(args.n)),
+    "rand3-half": (("n", "seed"), lambda args: _sample(args, *generators.RAND3_HALF)),
+    "rand3-sparse": (("n", "s", "inclusion_scale", "seed"),
+                     lambda args: _sample(args, args.s, args.inclusion_scale)),
 }
 
 
 def cmd_gen(args) -> int:
-    family = args.family
-    meta: dict = {"family": family}
-    _refuse_unused(args, "--n --m --s --scale --seed", _GEN_FLAGS[family], family)
-    if "--n" in _GEN_FLAGS[family]:
-        if args.n is None:
-            raise InconsistentError(f"{family} needs --n")
+    reads, build = GEN_FAMILIES[args.family]
+    _refuse_unused(args, reads, args.family)
+    for field in ("n", "s"):
+        if field in reads and getattr(args, field) is None:
+            raise InconsistentError(f"{args.family} needs --{field}")
+    if args.n is not None:
         _check_var_cap(args.n)
-    if family == "majority":
-        f = generators.majority(args.n)
-    elif family == "all-ones":
-        f = generators.all_ones_indicator(args.n)
-    elif family == "prop6":
-        f = generators.prop6_base()
-    elif family == "prop6-family":
-        m = 1 if args.m is None else args.m
-        _check_var_cap(30 * m)  # prop6_family(m) has n = 30m
-        f = generators.prop6_family(m)
-        meta["m"] = m
-    elif family == "complete3":
-        f = generators.complete_degree3(args.n)
-    elif family == "rand3-half":
-        seed = _resolve_seed(args.seed)
-        cfg = generators.Degree3SamplerConfig(n=args.n, s=3.0, seed=seed)  # p = 1/2
-        f = generators.random_degree3_sparse(cfg)
-        meta["seed"] = seed
-    else:  # rand3-sparse
-        if args.s is None:
-            raise InconsistentError("rand3-sparse needs --s")
-        seed = _resolve_seed(args.seed)
-        scale = 0.5 if args.scale is None else args.scale
-        cfg = generators.Degree3SamplerConfig(
-            n=args.n, s=args.s, seed=seed, inclusion_scale=scale
-        )
-        f = generators.random_degree3_sparse(cfg)
-        meta.update({"seed": seed, "s": args.s, "inclusion_scale": scale})
-    meta.update({"n": f.num_vars, "anf": format_anf(f)})
+    f = build(args)
+    meta = {"family": args.family, **{field: getattr(args, field) for field in reads},
+            "n": f.num_vars, "anf": format_anf(f)}
     if args.json:
         _emit_json(meta, args.out)
     else:
@@ -279,7 +273,7 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.kind != "hitting-set":
-        _refuse_unused(args, "--budget --node-limit", "", f"oracle {args.kind}")
+        _refuse_unused(args, (), f"oracle {args.kind}")
     func = _load_function(args.file, args.format, args.n)
     g = func.g
     if args.kind == "normality":
@@ -293,8 +287,7 @@ def cmd_oracle(args) -> int:
         report = {"kind": "thickness", "thickness": value}
         human = [f"thickness: {value}"]
     else:
-        node_limit = DEFAULT_NODE_LIMIT if args.node_limit is None else args.node_limit
-        result = exhaustive_hitting_set(g, budget=args.budget, node_limit=node_limit)
+        result = exhaustive_hitting_set(g, budget=args.budget, node_limit=args.node_limit)
         if result is None:
             report = {"kind": "hitting-set", "optimum": None, "variables": None}
             human = ["optimum: exceeds budget"]
@@ -319,30 +312,29 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-# the experiment flags each kind reads; passing any other is refused
-_EXPERIMENT_FLAGS = {
-    experiments.KIND_SAMPLER: "",
-    experiments.KIND_FLATS: "--k --flats-per-trial",
-    experiments.KIND_RESTRICTIONS: "--k --restrictions-per-trial",
-}
+# why a run refuses the field: only the disperser kinds read no family, and
+# only rand3-half no s or scale
+_HALF = "; rand3-half takes no s or scale: it keeps each monomial with probability 1/2"
+_EXPERIMENT_NOTES = {"family": "; a disperser kind takes no family: it samples rand3-sparse",
+                     "s": _HALF, "inclusion_scale": _HALF}
 
 
 def cmd_experiment(args) -> int:
-    _refuse_unused(args, "--k --flats-per-trial --restrictions-per-trial",
-                   _EXPERIMENT_FLAGS[args.kind], args.kind)
-    # a per-trial count not passed keeps ExperimentConfig's default
-    per_trial = {k: v for k, v in vars(args).items() if k.endswith("_per_trial") and v is not None}
-    master_seed = _resolve_seed(args.master_seed)
+    if args.threads < 1:
+        raise InconsistentError("--threads must be at least 1")
+    _refuse_unused(args, experiments.fields_read(args.kind, args.family), args.kind,
+                   _EXPERIMENT_NOTES)
     cfg = experiments.ExperimentConfig(
         kind=args.kind,
         n=args.n,
         trials=args.trials,
-        master_seed=master_seed,
+        master_seed=_resolve_seed(args.master_seed),
         s=args.s,
         k=args.k,
+        flats_per_trial=args.flats_per_trial,
+        restrictions_per_trial=args.restrictions_per_trial,
         family=args.family,
-        inclusion_scale=args.scale,
-        **per_trial,
+        inclusion_scale=args.inclusion_scale,
     )
     report = experiments.run_experiment(cfg)
     print(f"wall clock: {report.wall_clock:.3f}s", file=sys.stderr)
@@ -395,29 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="input file, or '-' for stdin")
     p.add_argument("--from", dest="source", choices=["anf", "truth-table"], required=True)
     p.add_argument("--to", dest="target", choices=["anf", "truth-table"], required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, action=_Given)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("gen", help="generate a named function family")
-    p.add_argument(
-        "family",
-        choices=[
-            "majority",
-            "all-ones",
-            "prop6",
-            "prop6-family",
-            "complete3",
-            "rand3-half",
-            "rand3-sparse",
-        ],
-    )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="blocks parameter for prop6-family")
-    p.add_argument("--s", type=float, default=None, help="sparsity exponent for rand3-sparse")
-    p.add_argument("--scale", type=float, default=None, help="inclusion probability scale")
-    p.add_argument("--seed", type=_seed_arg, default=None, help="decimal or 0x hex")
+    p.add_argument("family", choices=list(GEN_FAMILIES))
+    p.add_argument("--n", type=int, default=None, action=_Given)
+    p.add_argument("--m", type=int, default=1, action=_Given,
+                   help="blocks parameter for prop6-family")
+    p.add_argument("--s", type=float, default=None, action=_Given,
+                   help="sparsity exponent for rand3-sparse")
+    p.add_argument("--scale", type=float, default=generators.DEFAULT_SCALE, action=_Given,
+                   dest="inclusion_scale", metavar="SCALE", help="inclusion probability scale")
+    p.add_argument("--seed", type=_seed_arg, default=None, action=_Given, help="decimal or 0x hex")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
@@ -425,28 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact small-n oracles")
     p.add_argument("kind", choices=["normality", "thickness", "hitting-set"])
     _add_function_input_args(p)
-    p.add_argument("--budget", type=int, default=None, help="hitting-set size budget")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, action=_Given,
+                   help="hitting-set size budget")
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, action=_Given)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="seed-deterministic Monte Carlo runs")
-    p.add_argument(
-        "kind",
-        choices=[
-            experiments.KIND_SAMPLER,
-            experiments.KIND_FLATS,
-            experiments.KIND_RESTRICTIONS,
-        ],
-    )
+    p.add_argument("kind", choices=list(experiments.KINDS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--s", type=float, default=None, action=_Given)
+    p.add_argument("--k", type=int, default=None, action=_Given)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--flats-per-trial", type=int, default=None)
-    p.add_argument("--restrictions-per-trial", type=int, default=None)
-    p.add_argument("--family", choices=["rand3-sparse", "rand3-half"], default=None)
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--flats-per-trial", type=int, default=None, action=_Given)
+    p.add_argument("--restrictions-per-trial", type=int, default=None, action=_Given)
+    p.add_argument("--family", choices=list(experiments.KINDS[experiments.KIND_SAMPLER].families),
+                   default=None, action=_Given)
+    p.add_argument("--scale", type=float, default=None, action=_Given, dest="inclusion_scale",
+                   metavar="SCALE")
     p.add_argument("--master-seed", type=_seed_arg, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
@@ -459,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except VerificationError as exc:

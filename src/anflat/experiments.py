@@ -17,7 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,14 +31,14 @@ from .anf_core import (
 )
 from .errors import InconsistentError, TooLargeError
 from .f2_linalg import BitVec, Flat, insert_independent, random_bits
-from .generators import inclusion_probability, sample_degree3_with_rng
+from .generators import DEFAULT_SCALE, RAND3_HALF, inclusion_probability, sample_degree3_with_rng
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 KIND_FLATS = "disperser-flats"
 KIND_RESTRICTIONS = "disperser-restrictions"
 KIND_SAMPLER = "sampler-stats"
-KINDS = (KIND_FLATS, KIND_RESTRICTIONS, KIND_SAMPLER)
+DEFAULT_PER_TRIAL = 50
 
 FLAT_DIMENSION_CONSTANT = 6.12
 RESTRICTION_DIMENSION_CONSTANT = 3.0
@@ -94,58 +94,45 @@ class ExperimentConfig:
     master_seed: int
     s: Optional[float] = None
     k: Optional[int] = None
-    flats_per_trial: int = 50
-    restrictions_per_trial: int = 50
+    flats_per_trial: Optional[int] = None
+    restrictions_per_trial: Optional[int] = None
     family: Optional[str] = None
     inclusion_scale: Optional[float] = None
 
     def __post_init__(self):
+        """Check the fields the run reads and fill in their defaults; the others
+        are left as given, unchecked and out of the report."""
         if self.kind not in KINDS:
             raise InconsistentError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise InconsistentError("trials must be at least 1")
-        if self.kind == KIND_FLATS and self.flats_per_trial < 1:
-            raise InconsistentError("flats per trial must be at least 1")
-        if self.kind == KIND_RESTRICTIONS and self.restrictions_per_trial < 1:
-            raise InconsistentError("restrictions per trial must be at least 1")
         if self.n < 3:
             raise InconsistentError("need at least 3 variables")
         if self.n > MAX_VARS:
             raise TooLargeError(f"n = {self.n} exceeds the cap of {MAX_VARS} variables")
-        if self.kind != KIND_SAMPLER:
-            if self.family is not None:
-                raise InconsistentError(f"{self.kind} takes no family: it samples rand3-sparse")
-        elif self.family is None:
-            self.family = "rand3-sparse"
-        elif self.family == "rand3-half":
-            if self.s is not None or self.inclusion_scale is not None:
-                raise InconsistentError("rand3-half takes no s or scale: it keeps each "
-                                        "monomial with probability 1/2")
-            # every monomial kept with probability 1/2: s = 3 at scale 1/2
-            self.s, self.inclusion_scale = 3.0, 0.5
-        elif self.family != "rand3-sparse":
+        families = KINDS[self.kind].families
+        if self.family is None or len(families) == 1:  # a kind with one family reads none
+            self.family = next(iter(families))
+        elif self.family not in families:
             raise InconsistentError(f"unknown sampler family {self.family!r}")
-        if self.s is None:
-            raise InconsistentError("this experiment needs the sparsity exponent s")
-        if not 2.0 < self.s <= 3.0:
-            raise InconsistentError(f"s = {self.s} outside (2, 3]")
-        if self.inclusion_scale is None:
-            # flat-disperser construction uses 1/(2 n^(3-s)); the
-            # 0-restriction variant uses 1/n^(3-s)
-            self.inclusion_scale = 1.0 if self.kind == KIND_RESTRICTIONS else 0.5
-        if self.kind == KIND_FLATS and self.k is None:
-            self.k = round(FLAT_DIMENSION_CONSTANT * self.n ** (2.0 - self.s / 2.0))
-        if self.kind == KIND_RESTRICTIONS and self.k is None:
-            self.k = round(
-                RESTRICTION_DIMENSION_CONSTANT
-                * math.sqrt(math.log(self.n))
-                * self.n ** ((3.0 - self.s) / 2.0)
+        if self.family == "rand3-half":
+            self.s, self.inclusion_scale = RAND3_HALF
+        reads = families[self.family]
+        if "s" in reads:
+            if self.s is None:
+                raise InconsistentError("this experiment needs the sparsity exponent s")
+            if not 2.0 < self.s <= 3.0:
+                raise InconsistentError(f"s = {self.s} outside (2, 3]")
+        for field, default in reads.items():
+            if getattr(self, field) is None:
+                setattr(self, field, default(self) if callable(default) else default)
+        for field in ("flats_per_trial", "restrictions_per_trial"):
+            if field in reads and getattr(self, field) < 1:
+                raise InconsistentError(f"{field.replace('_', ' ')} must be at least 1")
+        if "k" in reads and not 0 <= self.k <= self.n:
+            raise InconsistentError(
+                f"dimension k = {self.k} outside [0, {self.n}]; pass k explicitly"
             )
-        if self.kind != KIND_SAMPLER:
-            if self.k is None or not 0 <= self.k <= self.n:
-                raise InconsistentError(
-                    f"dimension k = {self.k} outside [0, {self.n}]; pass k explicitly"
-                )
         if self.kind == KIND_FLATS and self.k > MAX_FLAT_DIMENSION:
             raise TooLargeError(
                 f"k = {self.k} exceeds the exhaustive flat cap {MAX_FLAT_DIMENSION}"
@@ -161,19 +148,7 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
         }
-        if self.kind == KIND_SAMPLER:
-            out["family"] = self.family
-            if self.family == "rand3-sparse":
-                out["s"] = self.s
-                out["inclusion_scale"] = self.inclusion_scale
-        else:
-            out["s"] = self.s
-            out["k"] = self.k
-            out["inclusion_scale"] = self.inclusion_scale
-            if self.kind == KIND_FLATS:
-                out["flats_per_trial"] = self.flats_per_trial
-            else:
-                out["restrictions_per_trial"] = self.restrictions_per_trial
+        out.update((field, getattr(self, field)) for field in fields_read(self.kind, self.family))
         return out
 
 
@@ -266,18 +241,57 @@ def _degenerate_restrictions(cfg: ExperimentConfig, f: Anf, rng: np.random.Gener
     return {"restrictions": cfg.restrictions_per_trial, "degenerate": degenerate}
 
 
-# kind -> (per-trial fields, their (tries, hits) keys, the aggregate's
-# (tries, hits, rate) keys)
-_RATE_KINDS = {
-    KIND_FLATS: (
-        _constant_flats, ("flats", "constant_flats"), ("pairs", "constant_pairs", "constancy_rate")
+def _flat_dimension(cfg: ExperimentConfig) -> int:
+    return round(FLAT_DIMENSION_CONSTANT * cfg.n ** (2.0 - cfg.s / 2.0))
+
+
+def _restriction_dimension(cfg: ExperimentConfig) -> int:
+    return round(
+        RESTRICTION_DIMENSION_CONSTANT * math.sqrt(math.log(cfg.n)) * cfg.n ** ((3.0 - cfg.s) / 2.0)
+    )
+
+
+class Kind(NamedTuple):
+    """What an experiment kind reads and counts.
+
+    families: each family the kind samples (the default first) -> the config
+    fields a run on it reads -> each field's default: a value, a function of
+    the config, or None if it has none. A rate kind also has its per-trial
+    counter, the (tries, hits) keys of its rows and the (tries, hits, rate)
+    names of its aggregate.
+    """
+
+    families: dict
+    count: Optional[Callable] = None
+    row_keys: tuple = ()
+    names: tuple = ()
+
+
+KINDS = {
+    KIND_SAMPLER: Kind({
+        "rand3-sparse": {"family": None, "s": None, "inclusion_scale": DEFAULT_SCALE},
+        "rand3-half": {"family": None},  # s and the scale are RAND3_HALF
+    }),
+    KIND_FLATS: Kind(
+        {"rand3-sparse": {"s": None, "k": _flat_dimension, "inclusion_scale": DEFAULT_SCALE,
+                          "flats_per_trial": DEFAULT_PER_TRIAL}},
+        _constant_flats, ("flats", "constant_flats"), ("pairs", "constant_pairs", "constancy_rate"),
     ),
-    KIND_RESTRICTIONS: (
+    KIND_RESTRICTIONS: Kind(
+        {"rand3-sparse": {"s": None, "k": _restriction_dimension, "inclusion_scale": 1.0,
+                          "restrictions_per_trial": DEFAULT_PER_TRIAL}},
         _degenerate_restrictions,
         ("restrictions", "degenerate"),
         ("restrictions", "degenerate", "degenerate_rate"),
     ),
 }
+
+
+def fields_read(kind: str, family: Optional[str]) -> dict:
+    """The fields a run of kind on family reads, with their defaults; a family
+    the kind does not sample, or None, stands for the default one."""
+    families = KINDS[kind].families
+    return families.get(family, next(iter(families.values())))
 
 
 def _wilson_rate(outcomes: list[dict], row_keys: tuple, names: tuple) -> dict:
@@ -326,19 +340,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     start = time.perf_counter()
     p = cfg.inclusion_probability()
-    trial_fields, row_keys, names = _RATE_KINDS.get(cfg.kind, (None, None, None))
+    kind = KINDS[cfg.kind]
     outcomes = []
     for i in range(cfg.trials):
         seed, rng = _trial_rng(cfg, i)
         f = sample_degree3_with_rng(cfg.n, p, rng)
         row = {"trial": i, "seed": seed, "sparsity": f.sparsity()}
-        if trial_fields is not None:
-            row.update(trial_fields(cfg, f, rng))
+        if kind.count is not None:
+            row.update(kind.count(cfg, f, rng))
         outcomes.append(row)
-    if trial_fields is None:
+    if kind.count is None:
         aggregate = _sparsity_moments(cfg, p, outcomes)
     else:
-        aggregate = _wilson_rate(outcomes, row_keys, names)
+        aggregate = _wilson_rate(outcomes, kind.row_keys, kind.names)
     return ExperimentReport(
         config=cfg.echo(),
         outcomes=outcomes,

@@ -121,14 +121,6 @@ class BitMatrix:
                 raise DimensionMismatchError("row does not fit in column count")
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "BitMatrix":
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BitMatrix":
         vecs = [BitVec.from_string(line) for line in lines]
         if not vecs:
@@ -241,10 +233,6 @@ class AffineMap:
         offset = json_field(obj, "offset", str, "bijection")
         refuse_unknown_fields(obj, "matrix offset", "bijection")
         return cls(BitMatrix.from_strings(matrix), BitVec.from_string(offset))
-
-
-def identity_map(n: int) -> AffineMap:
-    return AffineMap(BitMatrix.identity(n), BitVec(n))
 
 
 @dataclass(frozen=True)

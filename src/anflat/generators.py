@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .anf_core import Anf, TruthTable, parse_anf, truth_table_to_anf, DEFAULT_TABLE_CAP
+from .anf_core import MAX_VARS, Anf, TruthTable, parse_anf, truth_table_to_anf, DEFAULT_TABLE_CAP
 from .errors import InconsistentError, TooLargeError
 
 
@@ -57,6 +57,8 @@ def prop6_family(m: int) -> Anf:
     """
     if m < 1:
         raise InconsistentError("m must be at least 1")
+    if 30 * m > MAX_VARS:
+        raise TooLargeError(f"n = {30 * m} exceeds the cap of {MAX_VARS} variables")
     base = prop6_base()
     masks = []
     for block in range(5 * m):
@@ -73,6 +75,11 @@ def complete_degree3(n: int) -> Anf:
         (1 << i) | (1 << j) | (1 << k) for i, j, k in combinations(range(n), 3)
     ]
     return Anf(n, frozenset(masks))
+
+
+DEFAULT_SCALE = 0.5  # see Degree3SamplerConfig
+# (s, scale) of rand3-half, which keeps every monomial with probability 1/2
+RAND3_HALF = (3.0, 0.5)
 
 
 def inclusion_probability(n: int, s: float, scale: float) -> float:
@@ -97,7 +104,7 @@ class Degree3SamplerConfig:
     n: int
     s: float
     seed: int
-    inclusion_scale: float = 0.5
+    inclusion_scale: float = DEFAULT_SCALE
     p: float = field(init=False)
 
     def __post_init__(self):

@@ -13,7 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from anflat.anf_core import Anf
 from anflat.errors import DimensionMismatchError
-from anflat.f2_linalg import AffineMap, bit_indices
+from anflat.f2_linalg import AffineMap, BitMatrix, BitVec, bit_indices
 from anflat.quadratic import DicksonForm
 from anflat.restriction import UntilCrucialAtMostThirdOfAlive
 
@@ -128,6 +128,19 @@ def slow_greedy(f: Anf, rule) -> tuple[list[tuple[int, int, int]], set[int], Anf
         terms = {m for m in terms if not m >> (v - 1) & 1}
         alive.remove(v)
     return trace, alive, Anf(f.num_vars, frozenset(terms))
+
+
+def matrix_of_rows(rows, cols: int) -> BitMatrix:
+    """The matrix with these packed rows."""
+    return BitMatrix(len(rows), cols, tuple(rows))
+
+
+def identity_matrix(n: int) -> BitMatrix:
+    return matrix_of_rows([1 << i for i in range(n)], n)
+
+
+def identity_map(n: int) -> AffineMap:
+    return AffineMap(identity_matrix(n), BitVec(n))
 
 
 def compose_affine(f: Anf, a: AffineMap) -> Anf:

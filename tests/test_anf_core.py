@@ -21,8 +21,15 @@ from anflat.errors import (
     IndexOutOfRangeError,
     TooLargeError,
 )
-from anflat.f2_linalg import AffineMap, BitMatrix, BitVec, Flat, random_affine_map
-from conftest import compose_affine, random_anf, slow_anf_masks, slow_evaluate
+from anflat.f2_linalg import AffineMap, BitVec, Flat, random_affine_map
+from conftest import (
+    compose_affine,
+    identity_map,
+    identity_matrix,
+    random_anf,
+    slow_anf_masks,
+    slow_evaluate,
+)
 
 PROP6_TEXT = "x1*x2*x3 + x1*x4*x5 + x2*x4*x6 + x3*x5*x6"
 
@@ -138,10 +145,8 @@ def test_table_cap():
 
 def test_compose_affine_identity_and_shift():
     f = parse_anf("x1*x2", 2)
-    from anflat.f2_linalg import identity_map
-
     assert compose_affine(f, identity_map(2)) == f
-    shift = AffineMap(BitMatrix.identity(2), BitVec.from_string("01"))  # x2 -> x2 + 1
+    shift = AffineMap(identity_matrix(2), BitVec.from_string("01"))  # x2 -> x2 + 1
     composed = compose_affine(f, shift)
     assert composed == parse_anf("x1*x2 + x1", 2)
     for x in range(4):

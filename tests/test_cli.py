@@ -615,6 +615,10 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
                      id="sampler-stats-n-beyond-cap"),
         pytest.param(["gen", "rand3-half", "--n", "2", "--seed", "1"], "at least 3 variables",
                      id="rand3-half-n-below-3"),
+        pytest.param(["gen", "rand3-half", "--n", "5", "--seed", "-1"], "--seed",
+                     id="rand3-half-negative-seed"),
+        pytest.param(["gen", "rand3-sparse", "--n", "5", "--s", "2.5", "--seed=-3"], "--seed",
+                     id="rand3-sparse-negative-seed"),
         pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5", "--k", "3",
                       "--trials", "2", "--master-seed", "1", "--flats-per-trial", "0"],
                      "flats per trial", id="disperser-flats-zero-per-trial"),
@@ -632,10 +636,10 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
     ],
 )
 def test_generator_size_exit_2_without_traceback(argv, message):
-    """A family without --n or with n outside [3, cap], an experiment with n past
-    the cap or fewer than one flat or restriction per trial, or a hitting-set search
-    with a negative budget or no nodes, ends with exit 2 and a message naming the
-    fault."""
+    """A family without --n, with n outside [3, cap] or with a negative seed, an
+    experiment with n past the cap or fewer than one flat or restriction per trial,
+    or a hitting-set search with a negative budget or no nodes, ends with exit 2 and
+    a message naming the fault."""
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr

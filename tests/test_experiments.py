@@ -17,9 +17,9 @@ from anflat.experiments import (
     stable_seed,
     wilson_interval,
 )
-from anflat.f2_linalg import rank, BitMatrix
+from anflat.f2_linalg import rank
 from anflat.generators import sample_degree3_with_rng
-from conftest import slow_evaluate
+from conftest import matrix_of_rows, slow_evaluate
 
 
 def test_stable_seed_is_order_free_and_fixed():
@@ -47,7 +47,7 @@ def test_random_flat_dimension_and_distribution():
     for k in (0, 1, 3):
         flat = random_flat(6, k, rng)
         assert flat.dimension == k
-        mat = BitMatrix.from_rows([b.bits for b in flat.basis], 6)
+        mat = matrix_of_rows([b.bits for b in flat.basis], 6)
         assert rank(mat) == k
     with pytest.raises(InconsistentError):
         random_flat(4, 5, rng)

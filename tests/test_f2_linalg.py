@@ -10,7 +10,6 @@ from anflat.f2_linalg import (
     BitMatrix,
     BitVec,
     Flat,
-    identity_map,
     insert_independent,
     invert,
     random_affine_map,
@@ -18,7 +17,7 @@ from anflat.f2_linalg import (
     random_invertible_matrix,
     rank,
 )
-from conftest import slow_rank
+from conftest import identity_map, identity_matrix, matrix_of_rows, slow_rank
 
 
 def test_bitvec_string_roundtrip():
@@ -52,8 +51,8 @@ def test_bitvec_rejects_overflow():
 
 
 def test_rank_identity_and_zero():
-    assert rank(BitMatrix.identity(3)) == 3
-    assert rank(BitMatrix.from_rows([0, 0, 0], 3)) == 0
+    assert rank(identity_matrix(3)) == 3
+    assert rank(matrix_of_rows([0, 0, 0], 3)) == 0
 
 
 def test_rank_dependent_rows():
@@ -71,7 +70,7 @@ def assert_inverse(m: BitMatrix, inv: BitMatrix) -> None:
 
 
 def test_invert_identity_and_self_inverse():
-    assert invert(BitMatrix.identity(4)) == BitMatrix.identity(4)
+    assert invert(identity_matrix(4)) == identity_matrix(4)
     m = BitMatrix.from_strings(["11", "01"])
     inv = invert(m)
     assert inv == m  # self-inverse over GF(2)
@@ -93,7 +92,7 @@ def test_rank_plus_kernel_dimension(rng):
     for _ in range(50):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
-        m = BitMatrix.from_rows(
+        m = matrix_of_rows(
             [int(rng.integers(0, 1 << cols)) for _ in range(rows)], cols
         )
         kernel_size = sum(m.mul_vec(BitVec(cols, x)).bits == 0 for x in range(1 << cols))
@@ -104,7 +103,7 @@ def test_apply_affine_examples():
     ident = identity_map(2)
     x = BitVec.from_string("01")
     assert ident.apply(x) == x
-    shifted = AffineMap(BitMatrix.identity(2), BitVec.from_string("10"))
+    shifted = AffineMap(identity_matrix(2), BitVec.from_string("10"))
     assert shifted.apply(x).to_string() == "11"
 
 
@@ -137,7 +136,7 @@ def test_insert_independent_keeps_a_basis(rng):
         reduced: dict[int, int] = {}
         kept = [v for v in vectors if insert_independent(reduced, v)]
         assert slow_rank(kept) == len(kept) == slow_rank(vectors)
-        assert rank(BitMatrix.from_rows(vectors, n)) == len(kept)
+        assert rank(matrix_of_rows(vectors, n)) == len(kept)
 
 
 def test_affine_map_rejects_singular():

@@ -12,7 +12,7 @@ from anflat.anf_core import (
 )
 from anflat.errors import TooLargeError
 from anflat.experiments import random_flat
-from anflat.f2_linalg import BitMatrix, BitVec, Flat, random_affine_map, rank
+from anflat.f2_linalg import BitVec, Flat, random_affine_map, rank
 from anflat.generators import Degree3SamplerConfig, prop6_base, random_degree3_sparse
 from anflat.pipeline import (
     VERIFY_SEED,
@@ -27,7 +27,14 @@ from anflat.pipeline import (
     guaranteed_dimension,
     verify_flat,
 )
-from conftest import compose_affine, random_anf, random_quadratic, slow_evaluate, slow_rank
+from conftest import (
+    compose_affine,
+    matrix_of_rows,
+    random_anf,
+    random_quadratic,
+    slow_evaluate,
+    slow_rank,
+)
 
 
 def all_flats_brute_force(n: int):
@@ -150,7 +157,7 @@ def ball_rank_and_radius(func: FunctionInput, flat: Flat) -> tuple[int, int]:
     for m in func.g.terms:
         support |= m
     g_flat = flat if func.bijection is None else flat.map_through(func.bijection.inverse())
-    r = rank(BitMatrix.from_rows([b.bits & support for b in g_flat.basis], flat.ambient))
+    r = rank(matrix_of_rows([b.bits & support for b in g_flat.basis], flat.ambient))
     return r, min(func.g.degree(), r)
 
 
@@ -364,13 +371,13 @@ def test_invertible_matrices_are_gl_n_in_row_order():
 
 def test_thickness_via_symbolic_composition_oracle(rng):
     # cross-check the truth-table route against explicit composition at n = 2
-    from anflat.f2_linalg import AffineMap, BitMatrix, BitVec as BV
+    from anflat.f2_linalg import AffineMap, BitVec as BV
 
     n = 2
     matrices = []
     for bits in range(1 << (n * n)):
         rows = [(bits >> (n * i)) & ((1 << n) - 1) for i in range(n)]
-        m = BitMatrix.from_rows(rows, n)
+        m = matrix_of_rows(rows, n)
         from anflat.f2_linalg import rank as f2rank
 
         if f2rank(m) == n:

@@ -9,7 +9,6 @@ from anflat.f2_linalg import (
     AffineMap,
     BitMatrix,
     BitVec,
-    identity_map,
     rank,
     random_affine_map,
 )
@@ -20,7 +19,7 @@ from anflat.quadratic import (
     dickson_decompose,
     flat_from_dickson,
 )
-from conftest import canonical_anf, compose_affine, random_quadratic
+from conftest import canonical_anf, compose_affine, identity_map, matrix_of_rows, random_quadratic
 
 
 def test_already_canonical_product():
@@ -138,7 +137,7 @@ def test_t_is_twice_half_rank_of_bilinear_form(rng):
     for _ in range(60):
         n = int(rng.integers(2, 11))
         f = random_quadratic(n, rng)
-        b = BitMatrix.from_rows(_bilinear_rows(f), n)
+        b = matrix_of_rows(_bilinear_rows(f), n)
         d = dickson_decompose(f)
         assert d.t == rank(b)
 
