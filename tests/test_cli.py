@@ -243,6 +243,32 @@ def test_gen_golden_json(capsys, family):
     validated(out, "gen")
 
 
+# convert and oracle stdout recorded while truth tables were still a wrapper class:
+# golden name -> argv before the input file, input file (majority5 is gen majority
+# --n 5, majority4 is --n 4, base_cubic is prop6)
+GOLDEN_TABLES = {
+    **{
+        f"{name}.{golden}": (argv, f"{name}.{source}")
+        for name in ("majority5", "base_cubic")
+        for golden, source, argv in [
+            ("to-truth-table", "anf", ["convert", "--from", "anf", "--to", "truth-table"]),
+            ("to-anf", "tt", ["convert", "--from", "truth-table", "--to", "anf"]),
+            ("normality", "anf", ["oracle", "normality"]),
+        ]
+    },
+    "majority4.thickness": (["oracle", "thickness"], "majority4.anf"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TABLES))
+@pytest.mark.parametrize("suffix, extra", [("json", ["--json"]), ("txt", [])])
+def test_truth_table_golden_stdout(capsys, name, suffix, extra):
+    argv, source = GOLDEN_TABLES[name]
+    code, out, _ = run_cli(capsys, *argv, str(DATA / source), *extra)
+    assert code == 0
+    assert out == (DATA / "golden" / f"{name}.{suffix}").read_text()
+
+
 def test_gen_seeded_reproducibility(capsys):
     args = ("gen", "rand3-sparse", "--n", "20", "--s", "2.5", "--seed", "7")
     code, out1, _ = run_cli(capsys, *args)
