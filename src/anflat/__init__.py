@@ -8,10 +8,10 @@ large flats on which a low-thickness function is constant.
 from .anf_core import (
     Anf,
     FunctionInput,
-    TruthTable,
     anf_to_truth_table,
     format_anf,
     parse_anf,
+    parse_truth_table,
     truth_table_to_anf,
 )
 from .f2_linalg import AffineMap, BitMatrix, BitVec, Flat
@@ -39,7 +39,6 @@ __all__ = [
     "FunctionInput",
     "RestrictionState",
     "RestrictionTrace",
-    "TruthTable",
     "UntilCrucialAtMostThirdOfAlive",
     "UntilNoCrucial",
     "anf_to_truth_table",
@@ -49,6 +48,7 @@ __all__ = [
     "format_anf",
     "greedy_restrict",
     "parse_anf",
+    "parse_truth_table",
     "truth_table_to_anf",
     "verify_flat",
     "__version__",

@@ -25,6 +25,7 @@ from .f2_linalg import (AffineMap, BitVec, Flat, bit_indices, json_field, load_j
 DEFAULT_TABLE_CAP = 24
 MAX_VARS = 4096  # most variables an input may declare or index
 MAX_INDEX_DIGITS = len(str(MAX_VARS))
+MAX_TERMS = 2_000_000  # most terms a generated function may have, or expect to have
 
 # one term of the ANF grammar, and one factor's index inside it
 _TERM = re.compile(r"\s*(?:1|x\d+(?:\s*\*\s*x\d+)*)\s*")
@@ -62,18 +63,6 @@ class Anf:
     def crucial_count(self) -> int:
         """Number of monomials of degree >= 3."""
         return sum(1 for m in self.terms if m.bit_count() >= 3)
-
-    def evaluate(self, x: BitVec) -> int:
-        if x.length != self.num_vars:
-            raise DimensionMismatchError(
-                f"point has {x.length} coordinates, function has {self.num_vars}"
-            )
-        acc = 0
-        xb = x.bits
-        for m in self.terms:
-            if xb & m == m:
-                acc ^= 1
-        return acc
 
     def __str__(self) -> str:
         return format_anf(self)
@@ -139,45 +128,6 @@ def parse_anf(text: str, num_vars: int) -> Anf:
     return Anf(num_vars, frozenset(masks))
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    """All 2^num_vars values; entry i is f(x) with bit j of i = x_{j+1}."""
-
-    num_vars: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.uint8)
-        if v.shape != (1 << self.num_vars,):
-            raise DimensionMismatchError(
-                f"table needs {1 << self.num_vars} entries, got {v.shape}"
-            )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.num_vars == other.num_vars
-            and bool(np.array_equal(self.values, other.values))
-        )
-
-    def to_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.values)
-
-    @classmethod
-    def from_string(cls, text: str) -> "TruthTable":
-        text = text.strip()
-        size = len(text)
-        if size == 0 or size & (size - 1):
-            raise DimensionMismatchError("truth table length must be a power of two")
-        if any(c not in "01" for c in text):
-            raise AnfSyntaxError("truth table must be '0'/'1' characters", 0)
-        n = size.bit_length() - 1
-        return cls(n, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
-
-
 def xor_transform(values: np.ndarray, n: int) -> np.ndarray:
     """The subset-sum XOR transform along the last axis (length 2^n); self-inverse."""
     out = values.copy()
@@ -188,23 +138,41 @@ def xor_transform(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def truth_table_to_anf(tt: TruthTable) -> Anf:
-    """Unique ANF agreeing with the table everywhere; O(n 2^n)."""
-    if tt.num_vars > DEFAULT_TABLE_CAP:
-        raise TooLargeError(f"n = {tt.num_vars} exceeds table cap {DEFAULT_TABLE_CAP}")
-    coeffs = xor_transform(tt.values, tt.num_vars)
-    return Anf(tt.num_vars, frozenset(int(i) for i in np.nonzero(coeffs)[0]))
+def _table_vars(size: int) -> int:
+    """n for a table of size = 2^n entries, refused past the table cap."""
+    if size == 0 or size & (size - 1):
+        raise DimensionMismatchError("truth table length must be a power of two")
+    n = size.bit_length() - 1
+    if n > DEFAULT_TABLE_CAP:
+        raise TooLargeError(f"n = {n} exceeds table cap {DEFAULT_TABLE_CAP}")
+    return n
 
 
-def anf_to_truth_table(f: Anf) -> TruthTable:
-    if f.num_vars > DEFAULT_TABLE_CAP:
-        raise TooLargeError(f"n = {f.num_vars} exceeds table cap {DEFAULT_TABLE_CAP}")
-    coeffs = np.zeros(1 << f.num_vars, dtype=np.uint8)
+def parse_truth_table(text: str) -> np.ndarray:
+    """The uint8 table a string of 2^n '0'/'1' characters holds; any other length, an n
+    past the table cap or any other character is refused."""
+    text = text.strip()
+    _table_vars(len(text))
+    values = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    if (values > 1).any():  # every other character, non-ASCII bytes too, lands above 1
+        raise AnfSyntaxError("truth table must be '0'/'1' characters", 0)
+    return values
+
+
+def truth_table_to_anf(values: np.ndarray) -> Anf:
+    """Unique ANF agreeing with the 2^n table values everywhere; O(n 2^n)."""
+    n = _table_vars(len(values))
+    coeffs = xor_transform(np.asarray(values, dtype=np.uint8), n)
+    return Anf(n, frozenset(int(i) for i in np.nonzero(coeffs)[0]))
+
+
+def anf_to_truth_table(f: Anf) -> np.ndarray:
+    """All 2^n values of f as uint8; entry i is f(x) with bit j of i = x_{j+1}."""
+    n = _table_vars(1 << f.num_vars)
+    coeffs = np.zeros(1 << n, dtype=np.uint8)
     for m in f.terms:
         coeffs[m] = 1
-    values = xor_transform(coeffs, f.num_vars)
-    del coeffs  # TruthTable copies values; keep at most two tables alive
-    return TruthTable(f.num_vars, values)
+    return xor_transform(coeffs, n)
 
 
 def evaluate_packed_columns(f: Anf, packed: np.ndarray) -> np.ndarray:
@@ -300,12 +268,6 @@ class FunctionInput:
     @property
     def num_vars(self) -> int:
         return self.g.num_vars
-
-    def evaluate(self, x: BitVec) -> int:
-        """Value of the represented function f at x."""
-        if self.bijection is None:
-            return self.g.evaluate(x)
-        return self.g.evaluate(self.bijection.inverse().apply(x))
 
     def to_json_dict(self) -> dict:
         return {

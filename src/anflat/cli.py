@@ -20,11 +20,11 @@ from . import experiments, generators, pipeline
 from .anf_core import (
     MAX_VARS,
     FunctionInput,
-    TruthTable,
     anf_to_truth_table,
     format_anf,
     infer_num_vars,
     parse_anf,
+    parse_truth_table,
     truth_table_to_anf,
 )
 from .errors import AnflatError, InconsistentError, TooLargeError, VerificationError
@@ -89,11 +89,10 @@ def _refuse_unused(args, reads, where: str, notes: dict | None = None) -> None:
             raise InconsistentError(f"{flag} does not apply to {where}{note}")
 
 
-def _load_function(path: str, fmt: str, n_override: int | None) -> FunctionInput:
+def _load_function(path: str, n_override: int | None) -> FunctionInput:
+    """A JSON container when the text starts with '{', else bare ANF."""
     text = _read_input(path)
-    if fmt == "auto":
-        fmt = "container" if text.lstrip().startswith("{") else "anf"
-    if fmt == "container":
+    if text.lstrip().startswith("{"):
         if n_override is not None:
             raise InconsistentError("--n does not apply to a JSON container, which states its n")
         return FunctionInput.from_json_text(text)
@@ -109,7 +108,7 @@ def _load_flat(path: str) -> Flat:
 
 
 def cmd_analyze(args) -> int:
-    func = _load_function(args.file, args.format, args.n)
+    func = _load_function(args.file, args.n)
     g = func.g
     n = g.num_vars
     occurrences = list(occurrence_counts(g).values())
@@ -147,7 +146,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_find_flat(args) -> int:
-    func = _load_function(args.file, args.format, args.n)
+    func = _load_function(args.file, args.n)
     if args.epsilon is not None and not 0.0 < args.epsilon < 2.0:
         raise InconsistentError(f"epsilon = {args.epsilon} outside (0, 2)")
     report = pipeline.find_constant_flat(
@@ -175,7 +174,7 @@ def cmd_find_flat(args) -> int:
 
 
 def cmd_verify_flat(args) -> int:
-    func = _load_function(args.file, args.format, args.n)
+    func = _load_function(args.file, args.n)
     flat = _load_flat(args.flat)
     verdict = pipeline.verify_flat(
         func, flat, claimed=args.constant, sample_cap=args.samples
@@ -203,24 +202,24 @@ def cmd_verify_flat(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.source == "anf":
-        func = _load_function(args.file, "auto", args.n)
+        func = _load_function(args.file, args.n)
         if func.bijection is not None:
             raise InconsistentError("convert writes g, not f = g o A^-1: give a null bijection")
         f = func.g
     else:
         _refuse_unused(args, (), "--from truth-table")
-        f = truth_table_to_anf(TruthTable.from_string(_read_input(args.file)))
+        f = truth_table_to_anf(parse_truth_table(_read_input(args.file)))
     if args.target == "anf":
         if args.json:
             _emit_json({"n": f.num_vars, "anf": format_anf(f)}, args.out)
         else:
             _write_output(format_anf(f) + "\n", args.out)
     else:
-        table = anf_to_truth_table(f)
+        table = (anf_to_truth_table(f) + ord("0")).tobytes().decode()
         if args.json:
-            _emit_json({"n": f.num_vars, "truth_table": table.to_string()}, args.out)
+            _emit_json({"n": f.num_vars, "truth_table": table}, args.out)
         else:
-            _write_output(table.to_string() + "\n", args.out)
+            _write_output(table + "\n", args.out)
     return EXIT_OK
 
 
@@ -274,7 +273,7 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     if args.kind != "hitting-set":
         _refuse_unused(args, (), f"oracle {args.kind}")
-    func = _load_function(args.file, args.format, args.n)
+    func = _load_function(args.file, args.n)
     g = func.g
     if args.kind == "normality":
         value, flat = pipeline.brute_force_normality(g)
@@ -345,13 +344,8 @@ def cmd_experiment(args) -> int:
 
 
 def _add_function_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="input file, or '-' for stdin")
-    p.add_argument(
-        "--format",
-        choices=["auto", "anf", "container"],
-        default="auto",
-        help="input format (default: sniff JSON container vs bare ANF)",
-    )
+    p.add_argument("file", help="input file, or '-' for stdin: a JSON container if it "
+                   "starts with '{', else bare ANF")
     p.add_argument("--n", type=int, default=None, help="variable count for bare ANF input")
 
 

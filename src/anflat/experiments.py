@@ -30,7 +30,7 @@ from .anf_core import (
     flat_points_matrix,
 )
 from .errors import InconsistentError, TooLargeError
-from .f2_linalg import BitVec, Flat, insert_independent, random_bits
+from .f2_linalg import BitVec, Flat, insert_independent, random_bits, span_ints
 from .generators import DEFAULT_SCALE, RAND3_HALF, inclusion_probability, sample_degree3_with_rng
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -40,7 +40,6 @@ KIND_RESTRICTIONS = "disperser-restrictions"
 KIND_SAMPLER = "sampler-stats"
 DEFAULT_PER_TRIAL = 50
 
-FLAT_DIMENSION_CONSTANT = 6.12
 RESTRICTION_DIMENSION_CONSTANT = 3.0
 MAX_FLAT_DIMENSION = 20
 
@@ -118,14 +117,15 @@ class ExperimentConfig:
         if self.family == "rand3-half":
             self.s, self.inclusion_scale = RAND3_HALF
         reads = families[self.family]
-        if "s" in reads:
-            if self.s is None:
-                raise InconsistentError("this experiment needs the sparsity exponent s")
-            if not 2.0 < self.s <= 3.0:
-                raise InconsistentError(f"s = {self.s} outside (2, 3]")
+        for field, default in reads.items():
+            if default is None and getattr(self, field) is None:  # s, or k (family is set)
+                raise InconsistentError(f"{self.kind} needs {field}: pass --{field}")
+        if "s" in reads and not 2.0 < self.s <= 3.0:
+            raise InconsistentError(f"s = {self.s} outside (2, 3]")
         for field, default in reads.items():
             if getattr(self, field) is None:
                 setattr(self, field, default(self) if callable(default) else default)
+        self.inclusion_probability()  # refuses p outside (0, 1/2] or too many terms
         for field in ("flats_per_trial", "restrictions_per_trial"):
             if field in reads and getattr(self, field) < 1:
                 raise InconsistentError(f"{field.replace('_', ' ')} must be at least 1")
@@ -190,17 +190,6 @@ def _trial_rng(cfg: ExperimentConfig, index: int) -> tuple[int, np.random.Genera
     return seed, np.random.Generator(np.random.PCG64(seed))
 
 
-def _flat_point_ints(flat: Flat) -> np.ndarray:
-    """The 2^k points of flat as ints, in point_at order."""
-    points = np.empty(1 << flat.dimension, dtype=np.int64)
-    points[0] = flat.offset.bits
-    size = 1
-    for b in flat.basis:
-        np.bitwise_xor(points[:size], b.bits, out=points[size : 2 * size])
-        size *= 2
-    return points
-
-
 def _constant_flats(cfg: ExperimentConfig, f: Anf, rng: np.random.Generator) -> dict:
     """Draw flats_per_trial uniform k-flats; count those f is constant on.
 
@@ -214,14 +203,14 @@ def _constant_flats(cfg: ExperimentConfig, f: Anf, rng: np.random.Generator) -> 
     use_table = n <= MAX_FLAT_DIMENSION or (
         n <= DEFAULT_TABLE_CAP and 1 << n <= cfg.flats_per_trial << k
     )
-    table = anf_to_truth_table(f).values if use_table else None
+    table = anf_to_truth_table(f) if use_table else None
     constant = 0
     for _ in range(cfg.flats_per_trial):
         flat = random_flat(n, k, rng)
         if table is None:
             values = evaluate_on_points(f, flat_points_matrix(flat))
         else:
-            values = table[_flat_point_ints(flat)]
+            values = table[span_ints(flat.offset.bits, [b.bits for b in flat.basis])]
         if int(values.min()) == int(values.max()):
             constant += 1
     return {"flats": cfg.flats_per_trial, "constant_flats": constant}
@@ -239,10 +228,6 @@ def _degenerate_restrictions(cfg: ExperimentConfig, f: Anf, rng: np.random.Gener
         if residual_degree < 3:
             degenerate += 1
     return {"restrictions": cfg.restrictions_per_trial, "degenerate": degenerate}
-
-
-def _flat_dimension(cfg: ExperimentConfig) -> int:
-    return round(FLAT_DIMENSION_CONSTANT * cfg.n ** (2.0 - cfg.s / 2.0))
 
 
 def _restriction_dimension(cfg: ExperimentConfig) -> int:
@@ -273,7 +258,7 @@ KINDS = {
         "rand3-half": {"family": None},  # s and the scale are RAND3_HALF
     }),
     KIND_FLATS: Kind(
-        {"rand3-sparse": {"s": None, "k": _flat_dimension, "inclusion_scale": DEFAULT_SCALE,
+        {"rand3-sparse": {"s": None, "k": None, "inclusion_scale": DEFAULT_SCALE,
                           "flats_per_trial": DEFAULT_PER_TRIAL}},
         _constant_flats, ("flats", "constant_flats"), ("pairs", "constant_pairs", "constancy_rate"),
     ),

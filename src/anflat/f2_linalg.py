@@ -93,9 +93,6 @@ class BitVec:
             return ""
         return format(self.bits, f"0{self.length}b")[::-1]
 
-    def bit(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
             raise DimensionMismatchError("XOR of vectors of different lengths")
@@ -257,13 +254,6 @@ class Flat:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def points(self) -> list[BitVec]:
-        """All 2^dimension points; intended for small flats only."""
-        pts = [self.offset.bits]
-        for b in self.basis:
-            pts += [p ^ b.bits for p in pts]
-        return [BitVec(self.ambient, p) for p in pts]
-
     def point_at(self, index: int) -> BitVec:
         """Point for a basis-combination index (bit j selects basis[j])."""
         bits = self.offset.bits
@@ -302,6 +292,18 @@ class Flat:
         offset = BitVec.from_string(json_field(obj, "offset", str, "flat"))
         basis = tuple(BitVec.from_string(s) for s in json_field(obj, "basis", list, "flat"))
         return cls(offset.length, offset, basis)
+
+
+def span_ints(offset: int, vectors: Sequence[int]) -> np.ndarray:
+    """offset plus every combination of vectors, as int64, in Flat.point_at order:
+    entry i adds vectors[j] for each bit j of i. The ints must fit in 63 bits."""
+    points = np.empty(1 << len(vectors), dtype=np.int64)
+    points[0] = offset
+    size = 1
+    for v in vectors:
+        np.bitwise_xor(points[:size], v, out=points[size : 2 * size])
+        size *= 2
+    return points
 
 
 def random_bits(n: int, rng: np.random.Generator) -> int:

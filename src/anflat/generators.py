@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .anf_core import MAX_VARS, Anf, TruthTable, parse_anf, truth_table_to_anf, DEFAULT_TABLE_CAP
+from .anf_core import MAX_TERMS, MAX_VARS, Anf, parse_anf, truth_table_to_anf, DEFAULT_TABLE_CAP
 from .errors import InconsistentError, TooLargeError
 
 
@@ -28,7 +28,7 @@ def majority(n: int) -> Anf:
     threshold = (n + 1) // 2
     xs = np.arange(1 << n, dtype=np.uint64)
     values = (np.bitwise_count(xs) >= threshold).astype(np.uint8)
-    return truth_table_to_anf(TruthTable(n, values))
+    return truth_table_to_anf(values)
 
 
 def all_ones_indicator(n: int) -> Anf:
@@ -71,6 +71,7 @@ def complete_degree3(n: int) -> Anf:
     """All C(n, 3) monomials of degree exactly 3."""
     if n < 3:
         raise InconsistentError("need at least 3 variables")
+    _check_terms(n, 1.0)
     masks = [
         (1 << i) | (1 << j) | (1 << k) for i, j, k in combinations(range(n), 3)
     ]
@@ -82,11 +83,22 @@ DEFAULT_SCALE = 0.5  # see Degree3SamplerConfig
 RAND3_HALF = (3.0, 0.5)
 
 
+def _check_terms(n: int, p: float) -> None:
+    """Refuse a degree-3 draw on n variables whose expected C(n, 3) p terms pass MAX_TERMS."""
+    expected = math.comb(n, 3) * p
+    if expected > MAX_TERMS:
+        raise TooLargeError(
+            f"{expected:.0f} degree-3 terms expected at n = {n}, over the cap of {MAX_TERMS}"
+        )
+
+
 def inclusion_probability(n: int, s: float, scale: float) -> float:
-    """scale / n^(3-s), the sparse degree-3 inclusion probability, in (0, 1/2]."""
+    """scale / n^(3-s), the sparse degree-3 inclusion probability, in (0, 1/2]; refused when
+    it makes more terms expected than MAX_TERMS."""
     p = scale / (n ** (3.0 - s))
     if not 0.0 < p <= 0.5:
         raise InconsistentError(f"inclusion probability {p} outside (0, 1/2]")
+    _check_terms(n, p)
     return p
 
 

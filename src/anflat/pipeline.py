@@ -32,7 +32,7 @@ from .errors import (
     TooLargeError,
     VerificationError,
 )
-from .f2_linalg import BitVec, Flat, bit_indices, insert_independent
+from .f2_linalg import BitVec, Flat, bit_indices, insert_independent, span_ints
 from .quadratic import DicksonForm, dickson_decompose, flat_from_dickson
 from .restriction import RestrictionTrace, UntilNoCrucial, greedy_restrict
 
@@ -300,7 +300,7 @@ def brute_force_normality(f: Anf) -> tuple[int, Flat]:
     n = f.num_vars
     if n > DEFAULT_NORMALITY_CAP:
         raise TooLargeError(f"n = {n} exceeds normality cap {DEFAULT_NORMALITY_CAP}")
-    table = anf_to_truth_table(f).values
+    table = anf_to_truth_table(f)
     full_basis = tuple(BitVec(n, 1 << i) for i in range(n))
     if int(table.min()) == int(table.max()):
         return n, Flat(n, BitVec(n), full_basis)
@@ -333,17 +333,9 @@ def _echelon_bases(n: int, k: int):
 
 def _first_constant_flat(table: np.ndarray, n: int, k: int):
     for pivots, rows in _echelon_bases(n, k):
-        span = np.zeros(1 << k, dtype=np.int64)
-        size = 1
-        for r in rows:
-            span[size : 2 * size] = span[:size] ^ r
-            size *= 2
-        free_cols = [c for c in range(n) if c not in pivots]
-        reps = np.zeros(1 << (n - k), dtype=np.int64)
-        size = 1
-        for c in free_cols:
-            reps[size : 2 * size] = reps[:size] | (1 << c)
-            size *= 2
+        span = span_ints(0, rows)
+        # coset representatives: every combination of the non-pivot unit vectors
+        reps = span_ints(0, [1 << c for c in range(n) if c not in pivots])
         values = table[reps[:, None] ^ span[None, :]]
         hits = np.nonzero(values.min(axis=1) == values.max(axis=1))[0]
         if hits.size:
@@ -363,7 +355,7 @@ def brute_force_thickness(f: Anf) -> int:
     n = f.num_vars
     if n > DEFAULT_THICKNESS_CAP:
         raise TooLargeError(f"n = {n} exceeds thickness cap {DEFAULT_THICKNESS_CAP}")
-    table = anf_to_truth_table(f).values
+    table = anf_to_truth_table(f)
     if not table.any():
         return 0
     size = 1 << n

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from anflat.anf_core import Anf
+from anflat.anf_core import Anf, FunctionInput
 from anflat.errors import DimensionMismatchError
-from anflat.f2_linalg import AffineMap, BitMatrix, BitVec, bit_indices
+from anflat.f2_linalg import AffineMap, BitMatrix, BitVec, Flat, bit_indices
 from anflat.quadratic import DicksonForm
 from anflat.restriction import UntilCrucialAtMostThirdOfAlive
 
@@ -50,7 +50,7 @@ def slow_anf_masks(values) -> set[int]:
 
 
 def slow_evaluate(f: Anf, point_bits: int) -> int:
-    """Direct sum-of-products evaluation, independent of Anf.evaluate."""
+    """Direct sum-of-products evaluation, independent of the packed kernel."""
     acc = 0
     for m in f.terms:
         prod = 1
@@ -61,6 +61,18 @@ def slow_evaluate(f: Anf, point_bits: int) -> int:
             mm &= mm - 1
         acc ^= prod
     return acc
+
+
+def slow_evaluate_f(func: FunctionInput, point: BitVec) -> int:
+    """f(point) for f = g o A^-1: g at A^-1(point), by slow_evaluate."""
+    if func.bijection is not None:
+        point = func.bijection.inverse().apply(point)
+    return slow_evaluate(func.g, point.bits)
+
+
+def flat_points(flat: Flat) -> list[BitVec]:
+    """All 2^k points of the flat, in point_at order."""
+    return [flat.point_at(i) for i in range(1 << flat.dimension)]
 
 
 def slow_rank(vectors) -> int:
@@ -153,7 +165,7 @@ def compose_affine(f: Anf, a: AffineMap) -> Anf:
     """
     if a.dimension != f.num_vars:
         raise DimensionMismatchError("map dimension does not match variable count")
-    forms = [(a.matrix.row_bits[i], a.offset.bit(i)) for i in range(f.num_vars)]
+    forms = [(a.matrix.row_bits[i], a.offset.bits >> i & 1) for i in range(f.num_vars)]
     result: set[int] = set()
     for term in f.terms:
         partial: set[int] = {0}

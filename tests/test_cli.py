@@ -639,6 +639,16 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
         pytest.param(["experiment", "sampler-stats", "--family", "rand3-half", "--n", "100000",
                       "--trials", "1", "--master-seed", "1"], "cap",
                      id="sampler-stats-n-beyond-cap"),
+        # within the variable cap, but over the term cap: C(n, 3) p terms expected
+        pytest.param(["gen", "complete3", "--n", "4096"], "terms", id="complete3-n4096-terms"),
+        pytest.param(["gen", "rand3-half", "--n", "4096", "--seed", "1"], "terms",
+                     id="rand3-half-n4096-terms"),
+        pytest.param(["gen", "rand3-sparse", "--n", "4096", "--s", "2.5", "--seed", "1"], "terms",
+                     id="rand3-sparse-n4096-terms"),
+        pytest.param(["experiment", "sampler-stats", "--n", "4096", "--s", "2.5", "--trials", "1",
+                      "--master-seed", "1"], "terms", id="sampler-stats-n4096-terms"),
+        pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5",
+                      "--master-seed", "1"], "needs k: pass --k", id="disperser-flats-no-k"),
         pytest.param(["gen", "rand3-half", "--n", "2", "--seed", "1"], "at least 3 variables",
                      id="rand3-half-n-below-3"),
         pytest.param(["gen", "rand3-half", "--n", "5", "--seed", "-1"], "--seed",
@@ -662,10 +672,11 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
     ],
 )
 def test_generator_size_exit_2_without_traceback(argv, message):
-    """A family without --n, with n outside [3, cap] or with a negative seed, an
-    experiment with n past the cap or fewer than one flat or restriction per trial,
-    or a hitting-set search with a negative budget or no nodes, ends with exit 2 and
-    a message naming the fault."""
+    """A family without --n, with n outside [3, cap], with more terms expected than
+    the term cap or with a negative seed, an experiment with n past the cap, with too
+    many terms expected, without --k or with fewer than one flat or restriction per
+    trial, or a hitting-set search with a negative budget or no nodes, ends with exit 2
+    and a message naming the fault."""
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anflat.errors import (
     DimensionMismatchError,
@@ -16,15 +19,15 @@ from anflat.f2_linalg import (
     random_bits,
     random_invertible_matrix,
     rank,
+    span_ints,
 )
-from conftest import identity_map, identity_matrix, matrix_of_rows, slow_rank
+from conftest import flat_points, identity_map, identity_matrix, matrix_of_rows, slow_rank
 
 
 def test_bitvec_string_roundtrip():
     v = BitVec.from_string("1010")
     assert v.length == 4 and v.bits == 0b0101  # leftmost char is x1 = bit 0
     assert v.to_string() == "1010"
-    assert v.bit(0) == 1 and v.bit(1) == 0
 
 
 def test_bitvec_string_roundtrip_random_and_short(rng):
@@ -35,7 +38,7 @@ def test_bitvec_string_roundtrip_random_and_short(rng):
         for _ in range(5):
             v = BitVec(length, random_bits(length, rng))
             text = v.to_string()
-            assert text == "".join(str(v.bit(j)) for j in range(length))
+            assert text == "".join(str(v.bits >> j & 1) for j in range(length))
             assert BitVec.from_string(text) == v
             assert BitVec.from_string(f" {text}\n") == v
     for bad in ("012", "1 0", "1_0", "0b1", "x", "+1", "\u0661"):
@@ -164,13 +167,32 @@ def test_flat_independence_checked():
 
 def test_flat_points_and_mapping(rng):
     flat = Flat(3, BitVec.from_string("100"), (BitVec.from_string("010"),))
-    pts = {p.to_string() for p in flat.points()}
+    pts = {p.to_string() for p in flat_points(flat)}
     assert pts == {"100", "110"}
     a = random_affine_map(3, rng)
     mapped = flat.map_through(a)
-    assert {p.to_string() for p in mapped.points()} == {
-        a.apply(p).to_string() for p in flat.points()
+    assert {p.to_string() for p in flat_points(mapped)} == {
+        a.apply(p).to_string() for p in flat_points(flat)
     }
+
+
+@st.composite
+def flats(draw):
+    """A flat of dimension k <= 8 in F2^n, n <= 16: independent vectors drawn at random."""
+    n = draw(st.integers(0, 16))
+    reduced: dict[int, int] = {}
+    basis = [v for v in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+             if insert_independent(reduced, v)][:8]
+    offset = draw(st.integers(0, (1 << n) - 1))
+    return Flat(n, BitVec(n, offset), tuple(BitVec(n, b) for b in basis))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(flats())
+def test_span_ints_is_point_at_order(flat):
+    points = span_ints(flat.offset.bits, [b.bits for b in flat.basis])
+    assert points.dtype == np.int64
+    assert points.tolist() == [p.bits for p in flat_points(flat)]
 
 
 def test_flat_text_roundtrip():

@@ -30,7 +30,7 @@ def test_majority_small_cases():
 
 def test_majority_agrees_with_threshold_definition():
     for n in range(1, 13):
-        table = anf_to_truth_table(majority(n)).values
+        table = anf_to_truth_table(majority(n))
         for x in range(1 << n):
             expected = 1 if bin(x).count("1") >= n / 2 else 0
             assert int(table[x]) == expected

@@ -29,10 +29,12 @@ from anflat.pipeline import (
 )
 from conftest import (
     compose_affine,
+    flat_points,
     matrix_of_rows,
     random_anf,
     random_quadratic,
     slow_evaluate,
+    slow_evaluate_f,
     slow_rank,
 )
 
@@ -54,7 +56,7 @@ def all_flats_brute_force(n: int):
 
 
 def oracle_normality(f: Anf) -> int:
-    table = anf_to_truth_table(f).values
+    table = anf_to_truth_table(f)
     best = 0
     for flat in all_flats_brute_force(f.num_vars):
         vals = {int(table[p]) for p in flat}
@@ -69,8 +71,8 @@ def test_find_constant_flat_base_cubic():
     assert report.constant == 0
     assert [s.var for s in report.trace.steps] == [1, 6]
     # exhaustive check over all 16 points
-    for p in report.flat.points():
-        assert prop6_base().evaluate(p) == 0
+    for p in flat_points(report.flat):
+        assert slow_evaluate(prop6_base(), p.bits) == 0
 
 
 def test_find_constant_flat_simple_cases():
@@ -88,9 +90,9 @@ def test_stagewise_embedding_invariant(rng):
         f = random_anf(n, rng, term_rate=0.2)
         report = find_constant_flat(FunctionInput(f))
         traced = [s.var for s in report.trace.steps]
-        for p in report.flat.points():
-            assert [p.bit(v - 1) for v in traced] == [0] * len(traced)
-            assert f.evaluate(p) == report.constant
+        for p in flat_points(report.flat):
+            assert [p.bits >> (v - 1) & 1 for v in traced] == [0] * len(traced)
+            assert slow_evaluate(f, p.bits) == report.constant
 
 
 def test_find_constant_flat_dimension_accounting(rng):
@@ -112,9 +114,8 @@ def test_find_constant_flat_with_bijection(rng):
         a = random_affine_map(6, rng)
         func = FunctionInput(f, a)
         report = find_constant_flat(func)
-        inv = a.inverse()
-        for p in report.flat.points():
-            assert f.evaluate(inv.apply(p)) == report.constant
+        for p in flat_points(report.flat):
+            assert slow_evaluate_f(func, p) == report.constant
 
 
 def test_find_constant_flat_epsilon_bound(rng):
@@ -143,7 +144,7 @@ def test_verify_flat_verdicts():
     v = verify_flat(linear, full)
     assert v.kind == VERDICT_NOT_CONSTANT
     a, b = v.witness
-    assert linear.evaluate(a) != linear.evaluate(b)
+    assert slow_evaluate_f(linear, a) != slow_evaluate_f(linear, b)
 
     point = Flat(2, BitVec.from_string("11"), ())
     v = verify_flat(func, point)
@@ -195,10 +196,7 @@ def expected_sampled_verdict(func: FunctionInput, flat: Flat, cap: int, claimed)
     zcols = rng.integers(0, 256, size=((cap + 7) // 8, flat.dimension), dtype=np.uint8)
     combos = np.unpackbits(zcols, axis=0)[:cap]
     points = [flat.point_at(sum(1 << int(j) for j in np.flatnonzero(c))) for c in combos]
-    inverse = None if func.bijection is None else func.bijection.inverse()
-    values = [
-        slow_evaluate(func.g, (p if inverse is None else inverse.apply(p)).bits) for p in points
-    ]
+    values = [slow_evaluate_f(func, p) for p in points]
     reference = values[0] if claimed is None else claimed
     same = [p for p, v in zip(points, values) if v == reference]
     differ = [p for p, v in zip(points, values) if v != reference]
@@ -237,11 +235,8 @@ def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
     the low-degree check, forced by a cap of 2^k - 1, must then agree with
     it, and a witness pair must really disagree.
     """
-    inverse = None if func.bijection is None else func.bijection.inverse()
-    points = flat.points()
-    values = [
-        slow_evaluate(func.g, (p if inverse is None else inverse.apply(p)).bits) for p in points
-    ]
+    points = flat_points(flat)
+    values = [slow_evaluate_f(func, p) for p in points]
     exact = verify_flat(func, flat)
     if len(set(values)) == 1:
         assert exact.kind == VERDICT_CONSTANT and exact.value == values[0]
@@ -262,7 +257,7 @@ def check_low_degree_against_exhaustive(func: FunctionInput, flat: Flat):
         return True, radius
     assert low.kind == VERDICT_NOT_CONSTANT
     a, b = low.witness
-    assert a == points[0] and func.evaluate(a) != func.evaluate(b)
+    assert a == points[0] and slow_evaluate_f(func, a) != slow_evaluate_f(func, b)
     return False, radius
 
 
@@ -320,7 +315,7 @@ def test_brute_force_normality_witness_is_constant(rng):
         f = random_anf(n, rng)
         value, flat = brute_force_normality(f)
         assert flat.dimension == value
-        vals = {f.evaluate(p) for p in flat.points()}
+        vals = {slow_evaluate(f, p.bits) for p in flat_points(flat)}
         assert len(vals) == 1
 
 
