@@ -243,9 +243,13 @@ def test_gen_golden_json(capsys, family):
     validated(out, "gen")
 
 
-# convert and oracle stdout recorded while truth tables were still a wrapper class:
-# golden name -> argv before the input file, input file (majority5 is gen majority
-# --n 5, majority4 is --n 4, base_cubic is prop6)
+# convert and oracle stdout recorded while truth tables were still a wrapper class,
+# and the random7 / random4 oracles while they still walked every echelon basis and
+# every matrix of GL(n, 2): golden name -> argv before the input file, input file
+# (majority5 is gen majority --n 5, majority4 is --n 4, base_cubic is prop6, random7
+# and random4 keep each monomial of 7 and 4 variables with probability 1/2, drawn
+# from numpy's default_rng(2) and default_rng(1); random7's witness has k = 4 and
+# random4's thickness is 4, so neither oracle stops early)
 GOLDEN_TABLES = {
     **{
         f"{name}.{golden}": (argv, f"{name}.{source}")
@@ -257,6 +261,8 @@ GOLDEN_TABLES = {
         ]
     },
     "majority4.thickness": (["oracle", "thickness"], "majority4.anf"),
+    "random7.normality": (["oracle", "normality"], "random7.anf"),
+    "random4.thickness": (["oracle", "thickness"], "random4.anf"),
 }
 
 
