@@ -25,7 +25,7 @@ from .f2_linalg import (AffineMap, BitVec, Flat, bit_indices, json_field, load_j
 DEFAULT_TABLE_CAP = 24
 MAX_VARS = 4096  # most variables an input may declare or index
 MAX_INDEX_DIGITS = len(str(MAX_VARS))
-MAX_TERMS = 2_000_000  # most terms a generated function may have, or expect to have
+MAX_TERMS = 2_000_000  # most terms a parsed or generated function may have, or expect to have
 
 # one term of the ANF grammar, and one factor's index inside it
 _TERM = re.compile(r"\s*(?:1|x\d+(?:\s*\*\s*x\d+)*)\s*")
@@ -105,12 +105,16 @@ def parse_anf(text: str, num_vars: int) -> Anf:
 
     Whitespace is free around terms and factors (not inside `x<i>`).
     Repeated identical terms cancel in pairs and repeated variables
-    inside a term collapse (x*x = x).
+    inside a term collapse (x*x = x). A text of more than MAX_TERMS terms,
+    counted from its `+` signs, is refused before any term is built.
     """
     if num_vars < 0:
         raise DimensionMismatchError("negative variable count")
     if text.strip() == "0":
         return Anf.zero(num_vars)
+    terms = text.count("+") + 1
+    if terms > MAX_TERMS:
+        raise TooLargeError(f"{terms} terms exceed the cap of {MAX_TERMS}")
     masks: set[int] = set()
     pos = 0
     for piece in text.split("+"):

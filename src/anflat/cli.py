@@ -223,19 +223,24 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is None:
-        seed = int.from_bytes(os.urandom(8), "little")
-        print(f"seed: {seed}", file=sys.stderr)
-    return seed
+def _seeded(seed: int | None, build):
+    """build(seed), drawing the seed when none is given; a drawn seed goes to stderr
+    only once build has accepted it, so a refused run prints no seed."""
+    if seed is not None:
+        return build(seed)
+    seed = int.from_bytes(os.urandom(8), "little")
+    cfg = build(seed)
+    print(f"seed: {seed}", file=sys.stderr)
+    return cfg
 
 
 def _sample(args, s: float, scale: float):
     """rand3-half or rand3-sparse; the seed drawn when none was given goes into args."""
     if args.seed is not None and args.seed < 0:
         raise InconsistentError(f"--seed {args.seed} is negative")
-    args.seed = _resolve_seed(args.seed)
-    cfg = generators.Degree3SamplerConfig(n=args.n, s=s, seed=args.seed, inclusion_scale=scale)
+    cfg = _seeded(args.seed, lambda seed: generators.Degree3SamplerConfig(
+        n=args.n, s=s, seed=seed, inclusion_scale=scale))
+    args.seed = cfg.seed
     return generators.random_degree3_sparse(cfg)
 
 
@@ -323,18 +328,18 @@ def cmd_experiment(args) -> int:
         raise InconsistentError("--threads must be at least 1")
     _refuse_unused(args, experiments.fields_read(args.kind, args.family), args.kind,
                    _EXPERIMENT_NOTES)
-    cfg = experiments.ExperimentConfig(
+    cfg = _seeded(args.master_seed, lambda seed: experiments.ExperimentConfig(
         kind=args.kind,
         n=args.n,
         trials=args.trials,
-        master_seed=_resolve_seed(args.master_seed),
+        master_seed=seed,
         s=args.s,
         k=args.k,
         flats_per_trial=args.flats_per_trial,
         restrictions_per_trial=args.restrictions_per_trial,
         family=args.family,
         inclusion_scale=args.inclusion_scale,
-    )
+    ))
     report = experiments.run_experiment(cfg)
     print(f"wall clock: {report.wall_clock:.3f}s", file=sys.stderr)
     _write_output(report.to_json_text(), args.out)

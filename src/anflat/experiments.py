@@ -122,17 +122,18 @@ class ExperimentConfig:
                 raise InconsistentError(f"{self.kind} needs {field}: pass --{field}")
         if "s" in reads and not 2.0 < self.s <= 3.0:
             raise InconsistentError(f"s = {self.s} outside (2, 3]")
-        for field, default in reads.items():
-            if getattr(self, field) is None:
-                setattr(self, field, default(self) if callable(default) else default)
+        defaulted = [field for field in reads if getattr(self, field) is None]
+        for field in defaulted:
+            default = reads[field]
+            setattr(self, field, default(self) if callable(default) else default)
         self.inclusion_probability()  # refuses p outside (0, 1/2] or too many terms
         for field in ("flats_per_trial", "restrictions_per_trial"):
             if field in reads and getattr(self, field) < 1:
                 raise InconsistentError(f"{field.replace('_', ' ')} must be at least 1")
         if "k" in reads and not 0 <= self.k <= self.n:
-            raise InconsistentError(
-                f"dimension k = {self.k} outside [0, {self.n}]; pass k explicitly"
-            )
+            if "k" in defaulted:
+                raise InconsistentError(f"default k = {self.k} outside [0, {self.n}]; pass --k")
+            raise InconsistentError(f"dimension k = {self.k} outside [0, {self.n}]")
         if self.kind == KIND_FLATS and self.k > MAX_FLAT_DIMENSION:
             raise TooLargeError(
                 f"k = {self.k} exceeds the exhaustive flat cap {MAX_FLAT_DIMENSION}"

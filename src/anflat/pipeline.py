@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Optional
 
 import numpy as np
@@ -292,10 +292,12 @@ def brute_force_normality(f: Anf) -> tuple[int, Flat]:
     """Exact largest flat dimension on which f is constant, with a witness.
 
     Enumerates every flat of F2^n, highest dimension first, via reduced
-    echelon bases and coset representatives supported off the pivots. The
-    witness is the first hit in that fixed order (pivot sets in
-    lexicographic order, then free entries, then offsets ascending), so
-    the result is deterministic. Constant functions report n.
+    echelon bases and coset representatives supported off the pivots. A
+    pivot set's bases are the product of its row spans: row r is its pivot
+    plus any combination of the later non-pivot unit vectors. The witness
+    is the first hit in that fixed order (pivot sets in lexicographic
+    order, then bases with row 0 varying fastest, then offsets ascending),
+    so the result is deterministic. Constant functions report n.
     """
     n = f.num_vars
     if n > DEFAULT_NORMALITY_CAP:
@@ -305,52 +307,30 @@ def brute_force_normality(f: Anf) -> tuple[int, Flat]:
     if int(table.min()) == int(table.max()):
         return n, Flat(n, BitVec(n), full_basis)
     for k in range(n - 1, 0, -1):
-        hit = _first_constant_flat(table, n, k)
-        if hit is not None:
-            offset_bits, rows = hit
-            basis = tuple(BitVec(n, r) for r in rows)
-            return k, Flat(n, BitVec(n, offset_bits), basis)
+        for pivots in combinations(range(n), k):
+            free = [c for c in range(n) if c not in pivots]
+            # coset representatives: every combination of the non-pivot unit vectors
+            reps = span_ints(0, [1 << c for c in free])
+            choices = [span_ints(1 << p, [1 << c for c in free if c > p]).tolist()
+                       for p in pivots]
+            for chosen in product(*reversed(choices)):
+                rows = chosen[::-1]
+                values = table[reps[:, None] ^ span_ints(0, rows)[None, :]]
+                hits = np.flatnonzero(values.min(axis=1) == values.max(axis=1))
+                if hits.size:
+                    basis = tuple(BitVec(n, r) for r in rows)
+                    return k, Flat(n, BitVec(n, int(reps[hits[0]])), basis)
     return 0, Flat(n, BitVec(n), ())
-
-
-def _echelon_bases(n: int, k: int):
-    """Yield each k-dimensional subspace once, as reduced-echelon row ints."""
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_slots = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivot_set
-        ]
-        for assignment in range(1 << len(free_slots)):
-            rows = [1 << p for p in pivots]
-            for bit, (r, c) in enumerate(free_slots):
-                if (assignment >> bit) & 1:
-                    rows[r] |= 1 << c
-            yield pivots, rows
-
-
-def _first_constant_flat(table: np.ndarray, n: int, k: int):
-    for pivots, rows in _echelon_bases(n, k):
-        span = span_ints(0, rows)
-        # coset representatives: every combination of the non-pivot unit vectors
-        reps = span_ints(0, [1 << c for c in range(n) if c not in pivots])
-        values = table[reps[:, None] ^ span[None, :]]
-        hits = np.nonzero(values.min(axis=1) == values.max(axis=1))[0]
-        if hits.size:
-            return int(reps[int(hits[0])]), rows
-    return None
 
 
 def brute_force_thickness(f: Anf) -> int:
     """Exact minimum sparsity over every affine bijection of the inputs.
 
-    Enumerates all of GL(n, 2) times all offsets; each matrix costs one
-    truth-table permutation plus a batched XOR transform over the offsets.
-    Feasible only for tiny n (the cap is 4, about 3.2e5 maps).
-    Stops early once a sparsity of 1 is reached, the minimum for any
-    nonzero function.
+    Permuting the inputs keeps the sparsity, so only the invertible M with
+    increasing columns are visited (840 at the cap, n = 4): each costs one
+    gather of the truth table at x -> Mx and one batched XOR transform
+    over all offsets. Stops early at sparsity 1, the least for any nonzero
+    function.
     """
     n = f.num_vars
     if n > DEFAULT_THICKNESS_CAP:
@@ -358,16 +338,14 @@ def brute_force_thickness(f: Anf) -> int:
     table = anf_to_truth_table(f)
     if not table.any():
         return 0
-    size = 1 << n
-    xs = np.arange(size, dtype=np.int64)
-    offsets = xs[:, None]
-    best = size + 1
-    for matrix_rows in _invertible_matrices(n):
-        perm = np.zeros(size, dtype=np.int64)
-        for i, row in enumerate(matrix_rows):
-            perm |= (np.bitwise_count(xs & row).astype(np.int64) & 1) << i
+    offsets = np.arange(1 << n, dtype=np.int64)[:, None]
+    best = (1 << n) + 1
+    for columns in combinations(range(1, 1 << n), n):
+        reduced: dict[int, int] = {}
+        if not all(insert_independent(reduced, c) for c in columns):
+            continue
         # row b of values is the truth table of x -> f(Mx + b)
-        values = table[perm[None, :] ^ offsets]
+        values = table[span_ints(0, columns)[None, :] ^ offsets]
         coeffs = xor_transform(values, n)
         low = int(coeffs.sum(axis=1).min())
         if low < best:
@@ -375,25 +353,3 @@ def brute_force_thickness(f: Anf) -> int:
             if best <= 1:
                 return best
     return best
-
-
-def _invertible_matrices(n: int):
-    """All invertible n x n matrices as row tuples, in numeric row order.
-
-    Each level keeps the XOR basis of the rows above it, so a candidate row
-    costs one insertion into a copy of that basis.
-    """
-    size = 1 << n
-    rows = [0] * n
-
-    def build(i: int, reduced: dict[int, int]):
-        if i == n:
-            yield tuple(rows)
-            return
-        for r in range(size):
-            extended = dict(reduced)
-            if insert_independent(extended, r):
-                rows[i] = r
-                yield from build(i + 1, extended)
-
-    yield from build(0, {})

@@ -83,6 +83,25 @@ def slow_rank(vectors) -> int:
     return len(span).bit_length() - 1
 
 
+def slow_thickness(f: Anf) -> int:
+    """Least sparsity of x -> f(Mx + b) over every n x n matrix M of full slow_rank
+    and every offset b: the table by slow_evaluate, the sparsity by slow_anf_masks."""
+    n = f.num_vars
+    size = 1 << n
+    values = [slow_evaluate(f, x) for x in range(size)]
+    best = size
+    for bits in range(1 << (n * n)):
+        rows = [(bits >> (n * i)) & (size - 1) for i in range(n)]
+        if slow_rank(rows) < n:
+            continue
+        # image[x] = Mx, bit i being the parity of row i and x
+        image = [sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
+                 for x in range(size)]
+        for b in range(size):
+            best = min(best, len(slow_anf_masks([values[y ^ b] for y in image])))
+    return best
+
+
 def random_anf(n: int, rng: np.random.Generator, term_rate: float = 0.3) -> Anf:
     """Uniform-ish random ANF: each of the 2^n monomials kept with term_rate."""
     masks = [m for m in range(1 << n) if rng.random() < term_rate]

@@ -3,8 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from anflat import anf_core
 from anflat.anf_core import (
     DEFAULT_TABLE_CAP,
+    MAX_TERMS,
     Anf,
     FunctionInput,
     anf_to_truth_table,
@@ -67,6 +69,16 @@ def test_parse_errors_carry_position():
         parse_anf("", 2)
     with pytest.raises(AnfSyntaxError):
         parse_anf("1*x1", 2)
+
+
+def test_parse_refuses_more_terms_than_the_cap(monkeypatch):
+    with pytest.raises(TooLargeError, match=f"{MAX_TERMS + 1} terms exceed"):
+        parse_anf(" + ".join(["x1"] * (MAX_TERMS + 1)), 1)
+    monkeypatch.setattr(anf_core, "MAX_TERMS", 3)
+    assert parse_anf("x1 + x2 + x3", 3).sparsity() == 3
+    # counted from the + signs before any term is read: x9 is never reached
+    with pytest.raises(TooLargeError, match="4 terms exceed the cap of 3"):
+        parse_anf("x9 + x9 + x9 + x9", 1)
 
 
 def test_infer_num_vars_reads_the_largest_index():

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import anflat
+from anflat.anf_core import MAX_TERMS
 from anflat.cli import main
 from conftest import load_schema
 
@@ -603,6 +604,10 @@ def run_capped(argv):
     )
 
 
+# MAX_TERMS + 1 terms, refused from the + signs before any term is built
+_OVER_TERM_CAP = " + ".join(["x1"] * (MAX_TERMS + 1))
+
+
 @pytest.mark.parametrize(
     "text, extra",
     [
@@ -613,10 +618,13 @@ def run_capped(argv):
         pytest.param('{"n": 100000000, "anf": "x1*x2*x3"}', [], id="container-n-beyond-cap"),
         pytest.param('{"n": 1' + "0" * 5000 + ', "anf": "x1"}', [], id="container-n-5001-digits"),
         pytest.param("x1*x²\n", [], id="superscript-digit"),
+        pytest.param(_OVER_TERM_CAP + "\n", [], id="terms-beyond-cap"),
+        pytest.param(json.dumps({"n": 1, "anf": _OVER_TERM_CAP}), [],
+                     id="container-terms-beyond-cap"),
     ],
 )
 def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
-    """Inputs past the variable cap end with exit 2, under a 2 GB address space."""
+    """Inputs past the variable or term cap end with exit 2, under a 2 GB address space."""
     bad = tmp_path / "bad.txt"
     bad.write_text(text, encoding="utf-8")
     for argv in (["find-flat", str(bad), *extra], ["convert", str(bad), "--from", "anf",
@@ -655,6 +663,11 @@ def test_oversized_input_exit_2_without_traceback(tmp_path, text, extra):
                       "--master-seed", "1"], "terms", id="sampler-stats-n4096-terms"),
         pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5",
                       "--master-seed", "1"], "needs k: pass --k", id="disperser-flats-no-k"),
+        # refused before a seed is drawn, so no seed: line comes first
+        pytest.param(["experiment", "disperser-flats", "--n", "12", "--s", "2.5"],
+                     "needs k: pass --k", id="disperser-flats-no-k-no-seed"),
+        pytest.param(["gen", "rand3-half", "--n", "4096"], "terms",
+                     id="rand3-half-n4096-terms-no-seed"),
         pytest.param(["gen", "rand3-half", "--n", "2", "--seed", "1"], "at least 3 variables",
                      id="rand3-half-n-below-3"),
         pytest.param(["gen", "rand3-half", "--n", "5", "--seed", "-1"], "--seed",
@@ -682,7 +695,7 @@ def test_generator_size_exit_2_without_traceback(argv, message):
     the term cap or with a negative seed, an experiment with n past the cap, with too
     many terms expected, without --k or with fewer than one flat or restriction per
     trial, or a hitting-set search with a negative budget or no nodes, ends with exit 2
-    and a message naming the fault."""
+    and a message naming the fault, with or without a seed flag."""
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr

@@ -68,6 +68,12 @@ def test_config_validation():
     with pytest.raises(InconsistentError, match="restrictions per trial"):
         ExperimentConfig(kind=KIND_RESTRICTIONS, n=12, trials=1, master_seed=0, s=2.5, k=3,
                          restrictions_per_trial=-1)
+    # only a k that came from the default asks for --k
+    with pytest.raises(InconsistentError, match=r"^dimension k = 39 outside \[0, 12\]$"):
+        ExperimentConfig(kind=KIND_FLATS, n=12, trials=1, master_seed=0, s=2.5, k=39)
+    with pytest.raises(InconsistentError,
+                       match=r"^default k = 23 outside \[0, 20\]; pass --k$"):
+        ExperimentConfig(kind=KIND_RESTRICTIONS, n=20, trials=1, master_seed=0, s=2.01)
     # a count the kind does not use is not checked
     ExperimentConfig(kind=KIND_FLATS, n=12, trials=1, master_seed=0, s=2.5, k=3,
                      restrictions_per_trial=0)

@@ -8,6 +8,7 @@ from anflat.anf_core import (
     Anf,
     FunctionInput,
     anf_to_truth_table,
+    format_anf,
     parse_anf,
 )
 from anflat.errors import TooLargeError
@@ -16,7 +17,6 @@ from anflat.f2_linalg import BitVec, Flat, random_affine_map, rank
 from anflat.generators import Degree3SamplerConfig, prop6_base, random_degree3_sparse
 from anflat.pipeline import (
     VERIFY_SEED,
-    _invertible_matrices,
     VERDICT_CONSTANT,
     VERDICT_CONSTANT_LOW_DEGREE,
     VERDICT_NOT_CONSTANT,
@@ -35,7 +35,7 @@ from conftest import (
     random_quadratic,
     slow_evaluate,
     slow_evaluate_f,
-    slow_rank,
+    slow_thickness,
 )
 
 
@@ -356,12 +356,11 @@ def test_brute_force_thickness_examples():
         brute_force_thickness(Anf.zero(5))
 
 
-def test_invertible_matrices_are_gl_n_in_row_order():
-    for n, order in ((1, 1), (2, 6), (3, 168), (4, 20160)):
-        matrices = list(_invertible_matrices(n))
-        assert len(matrices) == order  # |GL(n, 2)|
-        assert all(a < b for a, b in zip(matrices, matrices[1:]))
-        assert all(slow_rank(m) == n for m in matrices)
+def test_thickness_matches_slow_reference_on_every_function_up_to_n3():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            f = Anf(n, frozenset(m for m in range(1 << n) if bits >> m & 1))
+            assert brute_force_thickness(f) == slow_thickness(f), format_anf(f)
 
 
 def test_thickness_via_symbolic_composition_oracle(rng):
